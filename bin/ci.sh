@@ -446,4 +446,33 @@ print("workers-4 crash recovered to seq %d: served and tenant state "
 PY
 done
 
+echo "== modeled-output gate (bench rows and profiles vs BENCH_10.json) =="
+# Host-speed work must leave every modeled number bit-identical.  Rerun
+# the GEMM figures (all 28 rows: a row's cache statistics depend on the
+# rows run before it on the same machine, so only the full sweep
+# reproduces them) and four more experiments, and diff their result
+# rows and Tprof profiles against the snapshot; only the host-time "ms"
+# of each compile phase may differ.
+bench_out=$(mktemp)
+timeout 900 dune exec bench/main.exe -- dgemm sgemm kernelsweep classes \
+  ablation topt --json "$bench_out" > /dev/null
+python3 - BENCH_10.json "$bench_out" <<'PY'
+import json, sys
+exps = ["dgemm", "sgemm", "kernelsweep", "classes", "ablation", "topt"]
+ref, got = (json.load(open(p)) for p in sys.argv[1:3])
+def rows(d):
+    return [r for r in d["results"] if r["experiment"] in exps]
+def profile(d, e):
+    p = dict(d["profiles"][e])
+    p["phases"] = [{k: v for k, v in ph.items() if k != "ms"}
+                   for ph in p["phases"]]
+    return p
+assert rows(got) == rows(ref), (rows(got), rows(ref))
+for e in exps:
+    assert profile(got, e) == profile(ref, e), "profile %s differs" % e
+print("modeled output identical to BENCH_10.json: %d rows, %d profiles"
+      % (len(rows(ref)), len(exps)))
+PY
+rm -f "$bench_out"
+
 echo "CI OK"

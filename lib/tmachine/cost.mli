@@ -7,10 +7,6 @@ type op =
   | Fp_add
   | Fp_mul
   | Fp_div
-  | Vec_add of int  (** lanes *)
-  | Vec_mul of int
-  | Vec_div of int
-  | Vec_other of int
   | Load
   | Store
   | Branch
@@ -27,6 +23,17 @@ val count : t -> op -> unit
 (** Record a vector operation of the given width in bits; mixing widths
     accrues the configured transition penalty (the ATLAS SSE/AVX bug). *)
 val vec_width_event : t -> int -> unit
+
+(** One vector instruction of [lanes] lanes on [bits]-wide registers:
+    [vec_mul t ~lanes ~bits] takes one FP-multiply issue slot, adds
+    [lanes] flops and records [vec_width_event t bits]; [vec_add] and
+    [vec_div] likewise on their ports.  [vec_other] (shuffles, splats,
+    extracts) takes one generic slot and counts no flops. *)
+val vec_add : t -> lanes:int -> bits:int -> unit
+
+val vec_mul : t -> lanes:int -> bits:int -> unit
+val vec_div : t -> lanes:int -> bits:int -> unit
+val vec_other : t -> bits:int -> unit
 
 val flops : t -> float
 val add_flops : t -> float -> unit

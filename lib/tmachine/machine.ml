@@ -19,7 +19,6 @@ let store t addr bytes =
 
 let prefetch t addr = Cache.prefetch t.cache addr
 let count t op = Cost.count t.cost op
-let vec_event t bits = Cost.vec_width_event t.cost bits
 
 let cycles t =
   let compute = Cost.compute_cycles t.cost in

@@ -11,7 +11,6 @@ val load : t -> int -> int -> unit
 val store : t -> int -> int -> unit
 val prefetch : t -> int -> unit
 val count : t -> Cost.op -> unit
-val vec_event : t -> int -> unit
 
 (** Total modeled cycles: max of compute and effective memory cycles
     (bandwidth streaming + latency stalls discounted by OOO overlap). *)

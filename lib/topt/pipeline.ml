@@ -10,9 +10,9 @@
 module Ir = Tvm.Ir
 
 let timed stats name f =
-  let t0 = Sys.time () in
+  let t0 = Tprof.Probe.now () in
   let events = f () in
-  Stats.note stats name events (Sys.time () -. t0)
+  Stats.note stats name events (Tprof.Probe.now () -. t0)
 
 let optimize ?(level = 2) ?(checked = false) ?stats (f : Ir.func) : Ir.func =
   if level <= 0 || Array.length f.Ir.code = 0 then f

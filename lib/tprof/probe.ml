@@ -299,17 +299,24 @@ let phase_count t name =
     p.ps_count <- p.ps_count + 1
   end
 
+(** Host time in seconds on the monotonic clock: the one clock behind
+    every host-time measurement (compile phases here, Topt pass times).
+    [Sys.time] would be process CPU time summed over all domains, which
+    misattributes a phase's time once worker domains run alongside it,
+    and misses time spent blocked. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
 (** Time [f] under phase [name] when profiling is on (wall time is kept
     out of the deterministic text report; see {!Report}). *)
 let time t name f =
   if not t.on then f ()
   else begin
-    let t0 = Sys.time () in
+    let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
         let p = pstat t name in
         p.ps_count <- p.ps_count + 1;
-        p.ps_ms <- p.ps_ms +. ((Sys.time () -. t0) *. 1000.0))
+        p.ps_ms <- p.ps_ms +. ((now () -. t0) *. 1000.0))
       f
   end
 

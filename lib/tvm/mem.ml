@@ -164,16 +164,29 @@ let get_i16 t a =
   check t a 2 "load i16";
   Bytes.get_int16_le t.bytes a
 
-let get_i32 t a =
+let[@inline] get_i32 t a =
   check t a 4 "load i32";
   Bytes.get_int32_le t.bytes a
 
-let get_i64 t a =
+let[@inline] get_i64 t a =
   check t a 8 "load i64";
   Bytes.get_int64_le t.bytes a
 
-let get_f32 t a = Int32.float_of_bits (get_i32 t a)
-let get_f64 t a = Int64.float_of_bits (get_i64 t a)
+let[@inline] get_f32 t a = Int32.float_of_bits (get_i32 t a)
+let[@inline] get_f64 t a = Int64.float_of_bits (get_i64 t a)
+
+(* Lane transfers write straight into (or read straight from) a float
+   array, so a vector access boxes nothing; each lane is still checked,
+   journaled and converted exactly as the scalar accessor would. *)
+let get_f32s t a dst =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- get_f32 t (a + (4 * i))
+  done
+
+let get_f64s t a dst =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- get_f64 t (a + (8 * i))
+  done
 
 let set_u8 t a v =
   check t a 1 "store u8";
@@ -185,18 +198,28 @@ let set_u16 t a v =
   note t a 2;
   Bytes.set_uint16_le t.bytes a (v land 0xffff)
 
-let set_i32 t a v =
+let[@inline] set_i32 t a v =
   check t a 4 "store i32";
   note t a 4;
   Bytes.set_int32_le t.bytes a v
 
-let set_i64 t a v =
+let[@inline] set_i64 t a v =
   check t a 8 "store i64";
   note t a 8;
   Bytes.set_int64_le t.bytes a v
 
-let set_f32 t a v = set_i32 t a (Int32.bits_of_float v)
-let set_f64 t a v = set_i64 t a (Int64.bits_of_float v)
+let[@inline] set_f32 t a v = set_i32 t a (Int32.bits_of_float v)
+let[@inline] set_f64 t a v = set_i64 t a (Int64.bits_of_float v)
+
+let set_f32s t a src =
+  for i = 0 to Array.length src - 1 do
+    set_f32 t (a + (4 * i)) src.(i)
+  done
+
+let set_f64s t a src =
+  for i = 0 to Array.length src - 1 do
+    set_f64 t (a + (8 * i)) src.(i)
+  done
 
 let blit t ~src ~dst ~len =
   check t src len "memcpy src";

@@ -72,6 +72,17 @@ val set_i32 : t -> int -> int32 -> unit
 val set_i64 : t -> int -> int64 -> unit
 val set_f32 : t -> int -> float -> unit
 val set_f64 : t -> int -> float -> unit
+
+(** [get_f64s t addr lanes] fills [lanes] from consecutive f64 values at
+    [addr]; [set_f64s t addr lanes] stores them back.  Each lane is
+    checked exactly as by {!get_f64}/{!set_f64}, but nothing is boxed.
+    The [f32] forms convert through single precision like {!get_f32}
+    and {!set_f32}. *)
+val get_f64s : t -> int -> float array -> unit
+
+val get_f32s : t -> int -> float array -> unit
+val set_f64s : t -> int -> float array -> unit
+val set_f32s : t -> int -> float array -> unit
 val blit : t -> src:int -> dst:int -> len:int -> unit
 val fill : t -> int -> int -> char -> unit
 

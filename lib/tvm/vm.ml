@@ -212,144 +212,229 @@ let import t name =
       t.nimports <- t.nimports + 1;
       t.nimports - 1
 
-let to_i = function
-  | VI i -> i
-  | VF _ -> raise (Trap "expected integer, got float")
-  | VV _ -> raise (Trap "expected integer, got vector")
-  | VUnit -> raise (Trap "expected integer, got unit")
+(* ------------------------------------------------------------------ *)
+(* Value kinds.  A register holds one of four kinds of value; the same
+   one-byte tags name them in a frame's register file and in the trap
+   messages of a type-confused read. *)
 
-let to_f = function
-  | VF f -> f
-  | VI _ -> raise (Trap "expected float, got integer")
-  | VV _ -> raise (Trap "expected float, got vector")
-  | VUnit -> raise (Trap "expected float, got unit")
+let k_unit = '\000'
+let k_int = '\001'
+let k_float = '\002'
+let k_vec = '\003'
 
-let to_v = function
-  | VV v -> v
-  | _ -> raise (Trap "expected vector")
+let kind_name k =
+  if k = k_int then "integer"
+  else if k = k_float then "float"
+  else if k = k_vec then "vector"
+  else "unit"
 
-let to_addr v = Int64.to_int (to_i v)
+let kind_of_value = function
+  | VI _ -> k_int
+  | VF _ -> k_float
+  | VV _ -> k_vec
+  | VUnit -> k_unit
+
+(* Out of line, so the inlined readers stay small. *)
+let[@inline never] expected want k =
+  raise (Trap (Printf.sprintf "expected %s, got %s" want (kind_name k)))
+
+let[@inline never] expected_vector () = raise (Trap "expected vector")
+
+let to_i = function VI i -> i | v -> expected "integer" (kind_of_value v)
+let to_f = function VF f -> f | v -> expected "float" (kind_of_value v)
+let to_v = function VV v -> v | _ -> expected_vector ()
 let bool_val b = VI (if b then 1L else 0L)
 let truthy v = to_i v <> 0L
 
-let eval_ibin op a b =
+(* ------------------------------------------------------------------ *)
+(* Operator semantics, defined once.  The interpreter loop inlines these
+   raw evaluators on unboxed operands; [eval_ibin], [eval_fbin],
+   [eval_funop] and [eval_cvt] wrap the same functions for Topt's
+   constant folding. *)
+
+let[@inline never] div_by_zero () = raise (Trap "integer division by zero")
+let[@inline] of_bool b = if b then 1L else 0L
+
+let[@inline] unsigned_lt (a : int64) (b : int64) =
+  Int64.sub a Int64.min_int < Int64.sub b Int64.min_int
+
+let[@inline] raw_ibin op (a : int64) (b : int64) =
   let open Int64 in
   match op with
-  | Ir.Add -> VI (add a b)
-  | Sub -> VI (sub a b)
-  | Mul -> VI (mul a b)
-  | Divs -> if b = 0L then raise (Trap "integer division by zero") else VI (div a b)
-  | Divu -> if b = 0L then raise (Trap "integer division by zero") else VI (unsigned_div a b)
-  | Rems -> if b = 0L then raise (Trap "integer division by zero") else VI (rem a b)
-  | Remu -> if b = 0L then raise (Trap "integer division by zero") else VI (unsigned_rem a b)
-  | Band -> VI (logand a b)
-  | Bor -> VI (logor a b)
-  | Bxor -> VI (logxor a b)
-  | Shl -> VI (shift_left a (to_int b land 63))
-  | Shrs -> VI (shift_right a (to_int b land 63))
-  | Shru -> VI (shift_right_logical a (to_int b land 63))
-  | Eq -> bool_val (equal a b)
-  | Ne -> bool_val (not (equal a b))
-  | Lts -> bool_val (compare a b < 0)
-  | Les -> bool_val (compare a b <= 0)
-  | Gts -> bool_val (compare a b > 0)
-  | Ges -> bool_val (compare a b >= 0)
-  | Ltu -> bool_val (unsigned_compare a b < 0)
-  | Leu -> bool_val (unsigned_compare a b <= 0)
-  | Gtu -> bool_val (unsigned_compare a b > 0)
-  | Geu -> bool_val (unsigned_compare a b >= 0)
-  | Mins -> VI (if compare a b <= 0 then a else b)
-  | Maxs -> VI (if compare a b >= 0 then a else b)
+  | Ir.Add -> add a b
+  | Sub -> sub a b
+  | Mul -> mul a b
+  | Divs -> if b = 0L then div_by_zero () else div a b
+  | Divu -> if b = 0L then div_by_zero () else unsigned_div a b
+  | Rems -> if b = 0L then div_by_zero () else rem a b
+  | Remu -> if b = 0L then div_by_zero () else unsigned_rem a b
+  | Band -> logand a b
+  | Bor -> logor a b
+  | Bxor -> logxor a b
+  | Shl -> shift_left a (to_int b land 63)
+  | Shrs -> shift_right a (to_int b land 63)
+  | Shru -> shift_right_logical a (to_int b land 63)
+  | Eq -> of_bool (a = b)
+  | Ne -> of_bool (a <> b)
+  | Lts -> of_bool (a < b)
+  | Les -> of_bool (a <= b)
+  | Gts -> of_bool (a > b)
+  | Ges -> of_bool (a >= b)
+  | Ltu -> of_bool (unsigned_lt a b)
+  | Leu -> of_bool (not (unsigned_lt b a))
+  | Gtu -> of_bool (unsigned_lt b a)
+  | Geu -> of_bool (not (unsigned_lt a b))
+  | Mins -> if a <= b then a else b
+  | Maxs -> if a >= b then a else b
+
+let eval_ibin op a b = VI (raw_ibin op a b)
 
 let round_fk fk (x : float) =
   match fk with
   | Ir.Fk32 -> Int32.float_of_bits (Int32.bits_of_float x)
   | Ir.Fk64 -> x
 
-let eval_fbin fk op a b =
+let is_fcmp = function
+  | Ir.FEq | FNe | FLt | FLe | FGt | FGe -> true
+  | FAdd | FSub | FMul | FDiv | FMin | FMax -> false
+
+let[@inline] raw_fcmp op (a : float) (b : float) =
   match op with
-  | Ir.FAdd -> VF (round_fk fk (a +. b))
-  | FSub -> VF (round_fk fk (a -. b))
-  | FMul -> VF (round_fk fk (a *. b))
-  | FDiv -> VF (round_fk fk (a /. b))
-  | FMin -> VF (Float.min a b)
-  | FMax -> VF (Float.max a b)
-  | FEq -> bool_val (a = b)
-  | FNe -> bool_val (a <> b)
-  | FLt -> bool_val (a < b)
-  | FLe -> bool_val (a <= b)
-  | FGt -> bool_val (a > b)
-  | FGe -> bool_val (a >= b)
+  | Ir.FEq -> a = b
+  | FNe -> a <> b
+  | FLt -> a < b
+  | FLe -> a <= b
+  | FGt -> a > b
+  | FGe -> a >= b
+  | FAdd | FSub | FMul | FDiv | FMin | FMax -> false
 
-let scalar_fbin_lanes fk op la lb =
-  let f x y =
-    match op with
-    | Ir.FAdd -> round_fk fk (x +. y)
-    | FSub -> round_fk fk (x -. y)
-    | FMul -> round_fk fk (x *. y)
-    | FDiv -> round_fk fk (x /. y)
-    | FMin -> Float.min x y
-    | FMax -> Float.max x y
-    | FEq -> if x = y then 1.0 else 0.0
-    | FNe -> if x <> y then 1.0 else 0.0
-    | FLt -> if x < y then 1.0 else 0.0
-    | FLe -> if x <= y then 1.0 else 0.0
-    | FGt -> if x > y then 1.0 else 0.0
-    | FGe -> if x >= y then 1.0 else 0.0
-  in
-  Array.init (Array.length la) (fun i -> f la.(i) lb.(i))
+(* Arithmetic result of [op]; a comparison yields 1.0 or 0.0, which is
+   its value in a vector lane. *)
+let[@inline] raw_fbin fk op (a : float) (b : float) =
+  match op with
+  | Ir.FAdd -> round_fk fk (a +. b)
+  | FSub -> round_fk fk (a -. b)
+  | FMul -> round_fk fk (a *. b)
+  | FDiv -> round_fk fk (a /. b)
+  | FMin -> Float.min a b
+  | FMax -> Float.max a b
+  | FEq | FNe | FLt | FLe | FGt | FGe -> if raw_fcmp op a b then 1.0 else 0.0
 
-let eval_funop fk op a =
+let eval_fbin fk op a b =
+  if is_fcmp op then bool_val (raw_fcmp op a b) else VF (raw_fbin fk op a b)
+
+let[@inline] eval_funop fk op a =
   match op with
   | Ir.FNeg -> round_fk fk (-.a)
   | FAbs -> Float.abs a
   | FSqrt -> round_fk fk (sqrt a)
 
-let load_scalar t mty addr =
-  match mty with
-  | Ir.I8 -> VI (Int64.of_int (Mem.get_i8 t.mem addr))
-  | U8 -> VI (Int64.of_int (Mem.get_u8 t.mem addr))
-  | I16 -> VI (Int64.of_int (Mem.get_i16 t.mem addr))
-  | U16 -> VI (Int64.of_int (Mem.get_u16 t.mem addr))
-  | I32 -> VI (Int64.of_int32 (Mem.get_i32 t.mem addr))
-  | U32 -> VI (Int64.logand (Int64.of_int32 (Mem.get_i32 t.mem addr)) 0xffffffffL)
-  | I64 -> VI (Mem.get_i64 t.mem addr)
-  | F32 -> VF (Mem.get_f32 t.mem addr)
-  | F64 -> VF (Mem.get_f64 t.mem addr)
+(* Conversions, split by the kind of the source and of the target. *)
+let[@inline] cvt_to_int to_t (i : int64) =
+  match to_t with
+  | Ir.I8 ->
+      let x = Int64.to_int i land 0xff in
+      Int64.of_int (if x >= 128 then x - 256 else x)
+  | U8 -> Int64.of_int (Int64.to_int i land 0xff)
+  | I16 ->
+      let x = Int64.to_int i land 0xffff in
+      Int64.of_int (if x >= 32768 then x - 65536 else x)
+  | U16 -> Int64.of_int (Int64.to_int i land 0xffff)
+  | I32 -> Int64.of_int32 (Int64.to_int32 i)
+  | U32 -> Int64.logand i 0xffffffffL
+  | I64 | F32 | F64 -> i
 
-let store_scalar t mty addr v =
-  match mty with
-  | Ir.I8 | U8 -> Mem.set_u8 t.mem addr (Int64.to_int (to_i v) land 0xff)
-  | I16 | U16 -> Mem.set_u16 t.mem addr (Int64.to_int (to_i v) land 0xffff)
-  | I32 | U32 -> Mem.set_i32 t.mem addr (Int64.to_int32 (to_i v))
-  | I64 -> Mem.set_i64 t.mem addr (to_i v)
-  | F32 -> Mem.set_f32 t.mem addr (to_f v)
-  | F64 -> Mem.set_f64 t.mem addr (to_f v)
+let[@inline] cvt_to_float to_t (f : float) =
+  match to_t with Ir.F32 -> round_fk Fk32 f | _ -> f
 
 let eval_cvt from_t to_t v =
-  let wrap_int to_t (i : int64) =
-    match to_t with
-    | Ir.I8 -> VI (Int64.of_int (Int64.to_int i land 0xff |> fun x -> if x >= 128 then x - 256 else x))
-    | U8 -> VI (Int64.of_int (Int64.to_int i land 0xff))
-    | I16 -> VI (Int64.of_int (Int64.to_int i land 0xffff |> fun x -> if x >= 32768 then x - 65536 else x))
-    | U16 -> VI (Int64.of_int (Int64.to_int i land 0xffff))
-    | I32 -> VI (Int64.of_int32 (Int64.to_int32 i))
-    | U32 -> VI (Int64.logand i 0xffffffffL)
-    | I64 -> VI i
-    | F32 -> VF (round_fk Fk32 (Int64.to_float i))
-    | F64 -> VF (Int64.to_float i)
-  in
-  match from_t with
-  | Ir.F32 | F64 -> (
-      let f = to_f v in
-      match to_t with
-      | Ir.F32 -> VF (round_fk Fk32 f)
-      | F64 -> VF f
-      | _ -> wrap_int to_t (Int64.of_float f))
-  | _ -> wrap_int to_t (to_i v)
+  match (Ir.mty_is_float from_t, Ir.mty_is_float to_t) with
+  | true, true -> VF (cvt_to_float to_t (to_f v))
+  | true, false -> VI (cvt_to_int to_t (Int64.of_float (to_f v)))
+  | false, true -> VF (cvt_to_float to_t (Int64.to_float (to_i v)))
+  | false, false -> VI (cvt_to_int to_t (to_i v))
 
-exception Return_value of value
+(* ------------------------------------------------------------------ *)
+(* The register file of one frame: [slots] holds 8 raw bytes per
+   register (an int64, or a float's bits), [tags] one kind byte per
+   register, and [vecs] one lane buffer per register, updated in place
+   by vector instructions.  Reads check the tag, so a type-confused
+   read traps with the same message as {!to_i}/{!to_f}/{!to_v}.  A lane
+   buffer is never shared: [Mov] copies lanes, and a vector leaving the
+   frame (call argument, result) is boxed as a fresh copy. *)
 
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Register indices are bounds-checked by the tag access; the slot
+   access after it is then in range. *)
+let[@inline] read_i slots tags = function
+  | Ir.R r ->
+      let k = Bytes.get tags r in
+      if k = k_int then get64 slots (r lsl 3) else expected "integer" k
+  | Ki i -> i
+  | Kf _ -> expected "integer" k_float
+
+let[@inline] read_f slots tags = function
+  | Ir.R r ->
+      let k = Bytes.get tags r in
+      if k = k_float then Int64.float_of_bits (get64 slots (r lsl 3))
+      else expected "float" k
+  | Kf f -> f
+  | Ki _ -> expected "float" k_int
+
+let[@inline] read_v tags vecs = function
+  | Ir.R r -> if Bytes.get tags r = k_vec then vecs.(r) else expected_vector ()
+  | Ki _ | Kf _ -> expected_vector ()
+
+let[@inline] set_i slots tags d (v : int64) =
+  Bytes.set tags d k_int;
+  set64 slots (d lsl 3) v
+
+let[@inline] set_f slots tags d (v : float) =
+  Bytes.set tags d k_float;
+  set64 slots (d lsl 3) (Int64.bits_of_float v)
+
+(* Register [d]'s lane buffer, resized to [n] lanes.  Callers read
+   their source buffers first: when [d] is also a source of the same
+   width the buffer is reused in place, which is safe because every
+   vector op writes lane [i] from lane [i] of its sources only. *)
+let[@inline] vec_dest tags vecs d n =
+  Bytes.set tags d k_vec;
+  let cur = vecs.(d) in
+  if Array.length cur = n then cur
+  else begin
+    let fresh = Array.create_float n in
+    vecs.(d) <- fresh;
+    fresh
+  end
+
+let set_lanes tags vecs d src =
+  let n = Array.length src in
+  Array.blit src 0 (vec_dest tags vecs d n) 0 n
+
+(* A register or operand as a boxed {!value}, for crossing a call
+   boundary; vectors are copied. *)
+let box slots tags vecs = function
+  | Ir.R r ->
+      let k = Bytes.get tags r in
+      if k = k_int then VI (get64 slots (r lsl 3))
+      else if k = k_float then VF (Int64.float_of_bits (get64 slots (r lsl 3)))
+      else if k = k_vec then VV (Array.copy vecs.(r))
+      else VUnit
+  | Ki i -> VI i
+  | Kf f -> VF f
+
+let unbox slots tags vecs d = function
+  | VI i -> set_i slots tags d i
+  | VF f -> set_f slots tags d f
+  | VV lanes -> set_lanes tags vecs d lanes
+  | VUnit -> Bytes.set tags d k_unit
+
+let box_args slots tags vecs args =
+  Array.of_list (List.map (box slots tags vecs) args)
+
+let no_lanes : float array = [||]
 let align_down n a = n / a * a
 
 let rec call t fidx (args : value array) : value =
@@ -363,8 +448,11 @@ let rec call t fidx (args : value array) : value =
       (Trap
          (Printf.sprintf "function '%s' expects %d arguments, got %d"
             f.Ir.fname f.nparams (Array.length args)));
-  let regs = Array.make (max 1 f.nregs) VUnit in
-  Array.blit args 0 regs 0 (Array.length args);
+  let nregs = max 1 f.nregs in
+  let slots = Bytes.create (8 * nregs) in
+  let tags = Bytes.make nregs k_unit in
+  let vecs = Array.make nregs no_lanes in
+  Array.iteri (unbox slots tags vecs) args;
   let saved_sp = t.sp in
   t.sp <- align_down (t.sp - f.frame_bytes) 16;
   if t.sp < Mem.heap_limit t.mem then begin
@@ -376,184 +464,238 @@ let rec call t fidx (args : value array) : value =
     raise (Trap (Printf.sprintf "stack overflow (call depth exceeds %d)" t.max_depth))
   end;
   t.depth <- t.depth + 1;
+  let probe = t.probe in
   let pushed =
-    if t.probe.Tprof.Probe.active then
-      Tprof.Probe.enter t.probe ~id:fidx ~name:f.Ir.fname
+    if probe.Tprof.Probe.active then
+      Tprof.Probe.enter probe ~id:fidx ~name:f.Ir.fname
     else false
   in
   let frame = t.sp in
   let m = t.machine in
+  let cost = m.Machine.cost in
+  let mem = t.mem in
   let code = f.code in
-  let operand = function
-    | Ir.R r -> regs.(r)
-    | Ir.Ki i -> VI i
-    | Ir.Kf fl -> VF fl
+  let leave () =
+    t.sp <- saved_sp;
+    t.depth <- t.depth - 1;
+    if pushed || probe.Tprof.Probe.active then
+      Tprof.Probe.leave probe ~id:fidx ~pushed
   in
-  let result =
-    try
-      let pc = ref 0 in
-      while true do
-        if t.fuel <= 0 then raise (Trap "fuel exhausted");
-        t.fuel <- t.fuel - 1;
-        t.steps <- t.steps + 1;
-        if t.probe.Tprof.Probe.active then Tprof.Probe.retire t.probe;
-        (match t.faults with
-        | Some f when t.steps >= Fault.next_step f -> (
-            try Fault.fire_step f t.mem t.steps
-            with Fault.Injected (spec, _) as e ->
-              if t.probe.Tprof.Probe.active then
-                Tprof.Probe.fault t.probe (Fault.code spec);
-              raise e)
-        | _ -> ());
-        (match Array.unsafe_get code !pc with
-        | Mov (d, a) ->
-            (* no issue cost: register moves are eliminated by renaming *)
-            regs.(d) <- operand a
-        | Ibin (op, d, a, b) ->
-            Machine.count m Cost.Int_alu;
-            regs.(d) <- eval_ibin op (to_i (operand a)) (to_i (operand b))
-        | Fbin (fk, op, d, a, b) ->
-            Machine.count m
-              (match op with
-              | FMul -> Cost.Fp_mul
-              | FDiv -> Cost.Fp_div
-              | _ -> Cost.Fp_add);
-            regs.(d) <- eval_fbin fk op (to_f (operand a)) (to_f (operand b))
-        | Iun (op, d, a) ->
-            Machine.count m Cost.Int_alu;
-            let x = to_i (operand a) in
-            regs.(d) <-
-              (match op with
-              | INeg -> VI (Int64.neg x)
-              | IBnot -> VI (Int64.lognot x)
-              | ILnot -> bool_val (x = 0L))
-        | Fun (fk, op, d, a) ->
-            Machine.count m
-              (match op with FSqrt -> Cost.Fp_div | _ -> Cost.Fp_add);
-            regs.(d) <- VF (eval_funop fk op (to_f (operand a)))
-        | Lea (d, base, idx, scale, disp) ->
-            Machine.count m Cost.Addr;
-            let b = to_i (operand base) and i = to_i (operand idx) in
-            regs.(d) <-
-              VI
-                Int64.(
-                  add (add b (mul i (of_int scale))) (of_int disp))
-        | Load (mty, d, a) ->
-            let addr = to_addr (operand a) in
-            Machine.load m addr (Ir.mty_bytes mty);
-            regs.(d) <- load_scalar t mty addr
-        | Store (mty, a, v) ->
-            let addr = to_addr (operand a) in
-            Machine.store m addr (Ir.mty_bytes mty);
-            store_scalar t mty addr (operand v)
-        | Vload (fk, lanes, d, a) ->
-            let addr = to_addr (operand a) in
-            let eb = Ir.fk_bytes fk in
-            Machine.load m addr (lanes * eb);
-            Machine.vec_event m (lanes * eb * 8);
-            let get = match fk with Fk32 -> Mem.get_f32 | Fk64 -> Mem.get_f64 in
-            regs.(d) <- VV (Array.init lanes (fun i -> get t.mem (addr + (i * eb))))
-        | Vstore (fk, lanes, a, v) ->
-            let addr = to_addr (operand a) in
-            let eb = Ir.fk_bytes fk in
-            Machine.store m addr (lanes * eb);
-            Machine.vec_event m (lanes * eb * 8);
-            let set = match fk with Fk32 -> Mem.set_f32 | Fk64 -> Mem.set_f64 in
-            let arr = to_v (operand v) in
-            if Array.length arr <> lanes then raise (Trap "vector store width mismatch");
-            Array.iteri (fun i x -> set t.mem (addr + (i * eb)) x) arr
-        | Vsplat (fk, lanes, d, a) ->
-            Machine.count m (Cost.Vec_other lanes);
-            Machine.vec_event m (lanes * Ir.fk_bytes fk * 8);
-            let x = to_f (operand a) in
-            regs.(d) <- VV (Array.make lanes x)
-        | Vbin (fk, lanes, op, d, a, b) ->
-            Machine.count m
-              (match op with
-              | FMul -> Cost.Vec_mul lanes
-              | FDiv -> Cost.Vec_div lanes
-              | _ -> Cost.Vec_add lanes);
-            Machine.vec_event m (lanes * Ir.fk_bytes fk * 8);
-            regs.(d) <-
-              VV (scalar_fbin_lanes fk op (to_v (operand a)) (to_v (operand b)))
-        | Vun (fk, lanes, op, d, a) ->
-            Machine.count m (Cost.Vec_other lanes);
-            Machine.vec_event m (lanes * Ir.fk_bytes fk * 8);
-            regs.(d) <- VV (Array.map (eval_funop fk op) (to_v (operand a)))
-        | Vextract (d, a, i) ->
-            Machine.count m Cost.Other;
-            let arr = to_v (operand a) in
-            if i >= Array.length arr then raise (Trap "vextract lane out of range");
-            regs.(d) <- VF arr.(i)
-        | Cvt (ft, tt, d, a) ->
-            Machine.count m Cost.Int_alu;
-            regs.(d) <- eval_cvt ft tt (operand a)
-        | Call (d, fid, cargs) ->
-            Machine.count m Cost.Call;
-            let argv = Array.of_list (List.map operand cargs) in
-            let r = call t fid argv in
-            (match d with Some dr -> regs.(dr) <- r | None -> ())
-        | Callind (d, faddr, cargs) ->
-            Machine.count m Cost.Indirect_call;
-            let a = to_addr (operand faddr) in
-            let fid =
-              match Ir.func_of_addr a with
-              | Some id when id < t.nfuncs -> id
-              | _ -> raise (Trap (Printf.sprintf "indirect call to bad address %#x" a))
-            in
-            let argv = Array.of_list (List.map operand cargs) in
-            let r = call t fid argv in
-            (match d with Some dr -> regs.(dr) <- r | None -> ())
-        | Ccall (d, imp, cargs) ->
-            Machine.count m Cost.Call;
-            let name = t.imports.(imp) in
-            let fn =
-              match Hashtbl.find_opt t.builtins name with
-              | Some fn -> fn
-              | None -> raise (Trap ("unresolved C import: " ^ name))
-            in
-            let argv = Array.of_list (List.map operand cargs) in
-            let r = fn t argv in
-            (match d with Some dr -> regs.(dr) <- r | None -> ())
-        | Prefetch a ->
-            Machine.count m Cost.Other;
-            Machine.prefetch m (to_addr (operand a))
-        | FrameAddr (d, off) ->
-            Machine.count m Cost.Addr;
-            regs.(d) <- VI (Int64.of_int (frame + off))
-        | SpillTouch off ->
-            (* a spill reload: one load uop hitting the stack's L1 lines *)
-            Machine.load m (frame + off) 8
-        | Jmp l ->
-            Machine.count m Cost.Branch;
-            if t.probe.Tprof.Probe.active then Tprof.Probe.branch t.probe;
-            pc := l - 1
-        | Br (c, lt, lf) ->
-            Machine.count m Cost.Branch;
-            if t.probe.Tprof.Probe.active then Tprof.Probe.branch t.probe;
-            pc := (if truthy (operand c) then lt else lf) - 1
-        | Ret None -> raise (Return_value VUnit)
-        | Ret (Some a) -> raise (Return_value (operand a)));
-        incr pc
-      done;
-      assert false
-    with
-    | Return_value v ->
-        t.sp <- saved_sp;
-        t.depth <- t.depth - 1;
-        if pushed || t.probe.Tprof.Probe.active then
-          Tprof.Probe.leave t.probe ~id:fidx ~pushed;
-        v
-    | e ->
-        t.sp <- saved_sp;
-        t.depth <- t.depth - 1;
-        if pushed || t.probe.Tprof.Probe.active then
-          Tprof.Probe.leave t.probe ~id:fidx ~pushed;
-        raise e
-  in
-  result
-
-let call_by_id = call
+  let pc = ref 0 and running = ref true and result = ref VUnit in
+  match
+    while !running do
+      (* per-instruction accounting: fuel, steps, profile tick, faults *)
+      if t.fuel <= 0 then raise (Trap "fuel exhausted");
+      t.fuel <- t.fuel - 1;
+      t.steps <- t.steps + 1;
+      if probe.Tprof.Probe.active then Tprof.Probe.retire probe;
+      (match t.faults with
+      | Some f when t.steps >= Fault.next_step f -> (
+          try Fault.fire_step f mem t.steps
+          with Fault.Injected (spec, _) as e ->
+            if probe.Tprof.Probe.active then
+              Tprof.Probe.fault probe (Fault.code spec);
+            raise e)
+      | _ -> ());
+      (match code.(!pc) with
+      | Mov (d, a) -> (
+          (* no issue cost: register moves are eliminated by renaming *)
+          match a with
+          | R r ->
+              let k = Bytes.get tags r in
+              if k = k_vec then set_lanes tags vecs d vecs.(r)
+              else begin
+                Bytes.set tags d k;
+                set64 slots (d lsl 3) (get64 slots (r lsl 3))
+              end
+          | Ki i -> set_i slots tags d i
+          | Kf x -> set_f slots tags d x)
+      | Ibin (op, d, a, b) ->
+          Cost.count cost Cost.Int_alu;
+          (* binary ops check the second operand first: with two
+             ill-typed operands, the trap names the second *)
+          let y = read_i slots tags b in
+          let x = read_i slots tags a in
+          (* a typed [let] keeps the result unboxed: passed straight to
+             [set_i], the division branches would make it box *)
+          let r = raw_ibin op x y in
+          set_i slots tags d r
+      | Fbin (fk, op, d, a, b) ->
+          Cost.count cost
+            (match op with
+            | FMul -> Cost.Fp_mul
+            | FDiv -> Cost.Fp_div
+            | _ -> Cost.Fp_add);
+          let y = read_f slots tags b in
+          let x = read_f slots tags a in
+          if is_fcmp op then set_i slots tags d (of_bool (raw_fcmp op x y))
+          else set_f slots tags d (raw_fbin fk op x y)
+      | Iun (op, d, a) ->
+          Cost.count cost Cost.Int_alu;
+          let x = read_i slots tags a in
+          set_i slots tags d
+            (match op with
+            | INeg -> Int64.neg x
+            | IBnot -> Int64.lognot x
+            | ILnot -> of_bool (x = 0L))
+      | Fun (fk, op, d, a) ->
+          Cost.count cost
+            (match op with FSqrt -> Cost.Fp_div | _ -> Cost.Fp_add);
+          set_f slots tags d (eval_funop fk op (read_f slots tags a))
+      | Lea (d, base, idx, scale, disp) ->
+          Cost.count cost Cost.Addr;
+          let b = read_i slots tags base in
+          let i = read_i slots tags idx in
+          set_i slots tags d
+            Int64.(add (add b (mul i (of_int scale))) (of_int disp))
+      | Load (mty, d, a) -> (
+          let addr = Int64.to_int (read_i slots tags a) in
+          Machine.load m addr (Ir.mty_bytes mty);
+          match mty with
+          | I8 -> set_i slots tags d (Int64.of_int (Mem.get_i8 mem addr))
+          | U8 -> set_i slots tags d (Int64.of_int (Mem.get_u8 mem addr))
+          | I16 -> set_i slots tags d (Int64.of_int (Mem.get_i16 mem addr))
+          | U16 -> set_i slots tags d (Int64.of_int (Mem.get_u16 mem addr))
+          | I32 -> set_i slots tags d (Int64.of_int32 (Mem.get_i32 mem addr))
+          | U32 ->
+              set_i slots tags d
+                (Int64.logand (Int64.of_int32 (Mem.get_i32 mem addr)) 0xffffffffL)
+          | I64 -> set_i slots tags d (Mem.get_i64 mem addr)
+          | F32 -> set_f slots tags d (Mem.get_f32 mem addr)
+          | F64 -> set_f slots tags d (Mem.get_f64 mem addr))
+      | Store (mty, a, v) -> (
+          let addr = Int64.to_int (read_i slots tags a) in
+          Machine.store m addr (Ir.mty_bytes mty);
+          match mty with
+          | I8 | U8 ->
+              Mem.set_u8 mem addr (Int64.to_int (read_i slots tags v) land 0xff)
+          | I16 | U16 ->
+              Mem.set_u16 mem addr (Int64.to_int (read_i slots tags v) land 0xffff)
+          | I32 | U32 -> Mem.set_i32 mem addr (Int64.to_int32 (read_i slots tags v))
+          | I64 -> Mem.set_i64 mem addr (read_i slots tags v)
+          | F32 -> Mem.set_f32 mem addr (read_f slots tags v)
+          | F64 -> Mem.set_f64 mem addr (read_f slots tags v))
+      | Vload (fk, lanes, d, a) -> (
+          let addr = Int64.to_int (read_i slots tags a) in
+          let eb = Ir.fk_bytes fk in
+          Machine.load m addr (lanes * eb);
+          Cost.vec_width_event cost (lanes * eb * 8);
+          let dst = vec_dest tags vecs d lanes in
+          match fk with
+          | Fk32 -> Mem.get_f32s mem addr dst
+          | Fk64 -> Mem.get_f64s mem addr dst)
+      | Vstore (fk, lanes, a, v) -> (
+          let addr = Int64.to_int (read_i slots tags a) in
+          let eb = Ir.fk_bytes fk in
+          Machine.store m addr (lanes * eb);
+          Cost.vec_width_event cost (lanes * eb * 8);
+          let src = read_v tags vecs v in
+          if Array.length src <> lanes then raise (Trap "vector store width mismatch");
+          match fk with
+          | Fk32 -> Mem.set_f32s mem addr src
+          | Fk64 -> Mem.set_f64s mem addr src)
+      | Vsplat (fk, lanes, d, a) ->
+          Cost.vec_other cost ~bits:(lanes * Ir.fk_bytes fk * 8);
+          let x = read_f slots tags a in
+          let dst = vec_dest tags vecs d lanes in
+          for i = 0 to lanes - 1 do
+            Array.unsafe_set dst i x
+          done
+      | Vbin (fk, lanes, op, d, a, b) ->
+          let bits = lanes * Ir.fk_bytes fk * 8 in
+          (match op with
+          | FMul -> Cost.vec_mul cost ~lanes ~bits
+          | FDiv -> Cost.vec_div cost ~lanes ~bits
+          | _ -> Cost.vec_add cost ~lanes ~bits);
+          let lb = read_v tags vecs b in
+          let la = read_v tags vecs a in
+          let n = Array.length la in
+          if Array.length lb < n then invalid_arg "index out of bounds";
+          let dst = vec_dest tags vecs d n in
+          for i = 0 to n - 1 do
+            Array.unsafe_set dst i
+              (raw_fbin fk op (Array.unsafe_get la i) (Array.unsafe_get lb i))
+          done
+      | Vun (fk, lanes, op, d, a) ->
+          Cost.vec_other cost ~bits:(lanes * Ir.fk_bytes fk * 8);
+          let la = read_v tags vecs a in
+          let n = Array.length la in
+          let dst = vec_dest tags vecs d n in
+          for i = 0 to n - 1 do
+            Array.unsafe_set dst i (eval_funop fk op (Array.unsafe_get la i))
+          done
+      | Vextract (d, a, i) ->
+          Cost.count cost Cost.Other;
+          let src = read_v tags vecs a in
+          if i >= Array.length src then raise (Trap "vextract lane out of range");
+          set_f slots tags d src.(i)
+      | Cvt (ft, tt, d, a) ->
+          Cost.count cost Cost.Int_alu;
+          if Ir.mty_is_float ft then begin
+            let x = read_f slots tags a in
+            if Ir.mty_is_float tt then set_f slots tags d (cvt_to_float tt x)
+            else set_i slots tags d (cvt_to_int tt (Int64.of_float x))
+          end
+          else begin
+            let x = read_i slots tags a in
+            if Ir.mty_is_float tt then
+              set_f slots tags d (cvt_to_float tt (Int64.to_float x))
+            else set_i slots tags d (cvt_to_int tt x)
+          end
+      | Call (d, fid, cargs) -> (
+          Cost.count cost Cost.Call;
+          let r = call t fid (box_args slots tags vecs cargs) in
+          match d with Some dr -> unbox slots tags vecs dr r | None -> ())
+      | Callind (d, faddr, cargs) -> (
+          Cost.count cost Cost.Indirect_call;
+          let a = Int64.to_int (read_i slots tags faddr) in
+          let fid =
+            match Ir.func_of_addr a with
+            | Some id when id < t.nfuncs -> id
+            | _ -> raise (Trap (Printf.sprintf "indirect call to bad address %#x" a))
+          in
+          let r = call t fid (box_args slots tags vecs cargs) in
+          match d with Some dr -> unbox slots tags vecs dr r | None -> ())
+      | Ccall (d, imp, cargs) -> (
+          Cost.count cost Cost.Call;
+          let name = t.imports.(imp) in
+          let fn =
+            match Hashtbl.find_opt t.builtins name with
+            | Some fn -> fn
+            | None -> raise (Trap ("unresolved C import: " ^ name))
+          in
+          let r = fn t (box_args slots tags vecs cargs) in
+          match d with Some dr -> unbox slots tags vecs dr r | None -> ())
+      | Prefetch a ->
+          Cost.count cost Cost.Other;
+          Machine.prefetch m (Int64.to_int (read_i slots tags a))
+      | FrameAddr (d, off) ->
+          Cost.count cost Cost.Addr;
+          set_i slots tags d (Int64.of_int (frame + off))
+      | SpillTouch off ->
+          (* a spill reload: one load uop hitting the stack's L1 lines *)
+          Machine.load m (frame + off) 8
+      | Jmp l ->
+          Cost.count cost Cost.Branch;
+          if probe.Tprof.Probe.active then Tprof.Probe.branch probe;
+          pc := l - 1
+      | Br (c, lt, lf) ->
+          Cost.count cost Cost.Branch;
+          if probe.Tprof.Probe.active then Tprof.Probe.branch probe;
+          pc := (if read_i slots tags c <> 0L then lt else lf) - 1
+      | Ret None -> running := false
+      | Ret (Some a) ->
+          result := box slots tags vecs a;
+          running := false);
+      incr pc
+    done
+  with
+  | () ->
+      leave ();
+      !result
+  | exception e ->
+      leave ();
+      raise e
 
 let set_fuel t n =
   t.fuel <- n;

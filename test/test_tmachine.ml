@@ -162,21 +162,44 @@ let test_roofline_issue_width () =
 let test_flops_counted () =
   let m = Machine.create Config.ivybridge_like in
   Machine.count m Cost.Fp_add;
-  Machine.count m (Cost.Vec_mul 4);
+  Cost.vec_mul m.Machine.cost ~lanes:4 ~bits:256;
   checkf "flops" 5.0 (Cost.flops m.Machine.cost)
+
+let test_vec_ops_ports () =
+  let m = Machine.create Config.ivybridge_like in
+  let cost = m.Machine.cost in
+  (* 100 vector adds at 1/cycle bind the add port: 100 cycles, 4 flops each *)
+  for _ = 1 to 100 do
+    Cost.vec_add cost ~lanes:4 ~bits:256
+  done;
+  checkf "add-bound" 100.0 (Machine.cycles m);
+  checkf "add flops" 400.0 (Cost.flops cost);
+  Machine.reset m;
+  Cost.vec_div cost ~lanes:2 ~bits:128;
+  checkf "div flops" 2.0 (Cost.flops cost);
+  checkf "div latency" Config.ivybridge_like.Config.fp_div_cycles
+    (Cost.compute_cycles cost);
+  Machine.reset m;
+  (* shuffles take an issue slot but count no flops *)
+  for _ = 1 to 8 do
+    Cost.vec_other cost ~bits:256
+  done;
+  checkf "other flops" 0.0 (Cost.flops cost);
+  checkf "other uops" 8.0 (Cost.uops cost);
+  checkf "one width, no penalty" 0.0 (Cost.transition_penalty_cycles cost)
 
 let test_vec_transition_penalty () =
   let m = Machine.create Config.ivybridge_like in
-  Machine.vec_event m 128;
-  Machine.vec_event m 256;
-  Machine.vec_event m 128;
+  Cost.vec_width_event m.Machine.cost 128;
+  Cost.vec_width_event m.Machine.cost 256;
+  Cost.vec_mul m.Machine.cost ~lanes:2 ~bits:128;
   let expected = 2.0 *. Config.ivybridge_like.Config.vec_transition_cycles in
   checkf "two transitions" expected (Cost.transition_penalty_cycles m.Machine.cost)
 
 let test_same_width_no_penalty () =
   let m = Machine.create Config.ivybridge_like in
   for _ = 1 to 10 do
-    Machine.vec_event m 256
+    Cost.vec_width_event m.Machine.cost 256
   done;
   checkf "no transitions" 0.0 (Cost.transition_penalty_cycles m.Machine.cost)
 
@@ -233,6 +256,8 @@ let () =
           Alcotest.test_case "roofline compute" `Quick test_roofline_compute;
           Alcotest.test_case "issue width" `Quick test_roofline_issue_width;
           Alcotest.test_case "flops counted" `Quick test_flops_counted;
+          Alcotest.test_case "vector ops on their ports" `Quick
+            test_vec_ops_ports;
           Alcotest.test_case "vector transition penalty" `Quick
             test_vec_transition_penalty;
           Alcotest.test_case "same width no penalty" `Quick

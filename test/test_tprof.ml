@@ -142,6 +142,20 @@ let probe_tests =
         checkb "still on" true p.Probe.on;
         checkb "still tracing" true p.Probe.tracing;
         checkb "still active" true p.Probe.active);
+    (* Host timers read the monotonic clock: a phase that sleeps burns
+       no CPU, so a CPU-time clock would record ~0 ms for it. *)
+    quick "phase timers measure wall time, not CPU time" (fun () ->
+        let p = Probe.create () in
+        Probe.set_on p true;
+        Probe.time p "sleep" (fun () -> Unix.sleepf 0.02);
+        let ms = (Hashtbl.find p.Probe.phases "sleep").Probe.ps_ms in
+        checkb (Printf.sprintf "probe phase %.3f ms >= 15" ms) true (ms >= 15.0);
+        let stats = Topt.Stats.create () in
+        Topt.Pipeline.timed stats "sleep" (fun () ->
+            Unix.sleepf 0.02;
+            0);
+        let s = (Topt.Stats.pass stats "sleep").Topt.Stats.p_time in
+        checkb (Printf.sprintf "topt pass %.3f s >= 0.015" s) true (s >= 0.015));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -335,6 +335,201 @@ let test_vector_ops () =
   | Vm.VF v -> checkf "splat mul" 6.0 v
   | _ -> Alcotest.fail "float"
 
+(* ------------------------------------------------------------------ *)
+(* Register file: each frame keeps raw scalar slots, a kind tag per
+   register, and one in-place lane buffer per vector register.  These
+   tests pin the copy semantics that make in-place updates safe. *)
+
+let add_fn vm ?(name = "f") ?(nparams = 0) nregs code =
+  Vm.add_func vm { Ir.fname = name; nparams; nregs; frame_bytes = 0; code }
+
+let lanes_of = function
+  | Vm.VV a -> Array.to_list a
+  | _ -> Alcotest.fail "expected a vector result"
+
+let check_lanes msg expected v =
+  Alcotest.(check (list (float 0.0))) msg expected (lanes_of v)
+
+(* Four f64 lanes 1,2,3,4 in VM memory. *)
+let seq_vector vm =
+  let addr = Alloc.malloc vm.Vm.alloc 32 in
+  List.iteri (fun i x -> Mem.set_f64 vm.Vm.mem (addr + (8 * i)) x) [ 1.; 2.; 3.; 4. ];
+  Ir.Ki (Int64.of_int addr)
+
+let read_lanes vm addr =
+  List.init 4 (fun i -> Mem.get_f64 vm.Vm.mem (addr + (8 * i)))
+
+let test_vbin_dest_aliases_source () =
+  let vm = new_vm () in
+  let src = seq_vector vm in
+  let run code = Vm.call vm (add_fn vm 3 code) [||] in
+  check_lanes "d = a" [ 11.; 12.; 13.; 14. ]
+    (run
+       [|
+         Ir.Vload (Ir.Fk64, 4, 0, src);
+         Ir.Vsplat (Ir.Fk64, 4, 1, Ir.Kf 10.0);
+         Ir.Vbin (Ir.Fk64, 4, Ir.FAdd, 0, Ir.R 0, Ir.R 1);
+         Ir.Ret (Some (Ir.R 0));
+       |]);
+  check_lanes "d = b" [ 9.; 8.; 7.; 6. ]
+    (run
+       [|
+         Ir.Vload (Ir.Fk64, 4, 0, src);
+         Ir.Vsplat (Ir.Fk64, 4, 1, Ir.Kf 10.0);
+         Ir.Vbin (Ir.Fk64, 4, Ir.FSub, 0, Ir.R 1, Ir.R 0);
+         Ir.Ret (Some (Ir.R 0));
+       |]);
+  check_lanes "d = a = b" [ 1.; 4.; 9.; 16. ]
+    (run
+       [|
+         Ir.Vload (Ir.Fk64, 4, 0, src);
+         Ir.Vbin (Ir.Fk64, 4, Ir.FMul, 0, Ir.R 0, Ir.R 0);
+         Ir.Ret (Some (Ir.R 0));
+       |]);
+  check_lanes "vun in place" [ -1.; -2.; -3.; -4. ]
+    (run
+       [|
+         Ir.Vload (Ir.Fk64, 4, 0, src);
+         Ir.Vun (Ir.Fk64, 4, Ir.FNeg, 0, Ir.R 0);
+         Ir.Ret (Some (Ir.R 0));
+       |])
+
+let test_mov_vector_copies () =
+  let vm = new_vm () in
+  let src = seq_vector vm in
+  let id =
+    add_fn vm 3
+      [|
+        Ir.Vload (Ir.Fk64, 4, 0, src);
+        Ir.Mov (1, Ir.R 0);
+        (* overwrite the source in place, then with a new width, then
+           with a scalar: the copy must see none of it *)
+        Ir.Vbin (Ir.Fk64, 4, Ir.FMul, 0, Ir.R 0, Ir.R 0);
+        Ir.Vsplat (Ir.Fk64, 2, 0, Ir.Kf 7.0);
+        Ir.Mov (0, Ir.Kf 9.0);
+        Ir.Ret (Some (Ir.R 1));
+      |]
+  in
+  check_lanes "copy unchanged" [ 1.; 2.; 3.; 4. ] (Vm.call vm id [||]);
+  (* and the other way round: writing the copy leaves the source *)
+  let id =
+    add_fn vm 3
+      [|
+        Ir.Vload (Ir.Fk64, 4, 0, src);
+        Ir.Mov (1, Ir.R 0);
+        Ir.Vsplat (Ir.Fk64, 4, 2, Ir.Kf 0.5);
+        Ir.Vbin (Ir.Fk64, 4, Ir.FMul, 1, Ir.R 1, Ir.R 2);
+        Ir.Ret (Some (Ir.R 0));
+      |]
+  in
+  check_lanes "source unchanged" [ 1.; 2.; 3.; 4. ] (Vm.call vm id [||])
+
+(* [double(v)] doubles its vector parameter in place and returns it. *)
+let add_double vm =
+  add_fn vm ~name:"double" ~nparams:1 1
+    [| Ir.Vbin (Ir.Fk64, 4, Ir.FAdd, 0, Ir.R 0, Ir.R 0); Ir.Ret (Some (Ir.R 0)) |]
+
+let test_vector_call_boundary () =
+  let vm = new_vm () in
+  let src = seq_vector vm in
+  let double = add_double vm in
+  let out = Alloc.malloc vm.Vm.alloc 64 in
+  let caller call =
+    add_fn vm 2
+      [|
+        Ir.Vload (Ir.Fk64, 4, 0, src);
+        call;
+        Ir.Vstore (Ir.Fk64, 4, Ir.Ki (Int64.of_int out), Ir.R 0);
+        Ir.Vstore (Ir.Fk64, 4, Ir.Ki (Int64.of_int (out + 32)), Ir.R 1);
+        Ir.Ret None;
+      |]
+  in
+  List.iter
+    (fun (name, call) ->
+      ignore (Vm.call vm (caller call) [||]);
+      Alcotest.(check (list (float 0.0)))
+        (name ^ ": argument register unchanged") [ 1.; 2.; 3.; 4. ]
+        (read_lanes vm out);
+      Alcotest.(check (list (float 0.0)))
+        (name ^ ": result") [ 2.; 4.; 6.; 8. ] (read_lanes vm (out + 32)))
+    [
+      ("call", Ir.Call (Some 1, double, [ Ir.R 0 ]));
+      ( "callind",
+        Ir.Callind (Some 1, Ir.Ki (Int64.of_int (Ir.func_addr double)), [ Ir.R 0 ])
+      );
+    ];
+  (* a builtin that scribbles on its argument and returns it *)
+  Vm.register_builtin vm "scribble" (fun _ args ->
+      let a = Vm.to_v args.(0) in
+      a.(0) <- 99.0;
+      Vm.VV a);
+  let imp = Vm.import vm "scribble" in
+  ignore (Vm.call vm (caller (Ir.Ccall (Some 1, imp, [ Ir.R 0 ]))) [||]);
+  Alcotest.(check (list (float 0.0)))
+    "ccall: argument register unchanged" [ 1.; 2.; 3.; 4. ] (read_lanes vm out);
+  Alcotest.(check (list (float 0.0)))
+    "ccall: result" [ 99.; 2.; 3.; 4. ] (read_lanes vm (out + 32))
+
+let test_vector_vm_call_boundary () =
+  let vm = new_vm () in
+  let double = add_double vm in
+  let arg = [| 1.; 2.; 3.; 4. |] in
+  let r1 = Vm.call vm double [| Vm.VV arg |] in
+  Alcotest.(check (list (float 0.0))) "caller's array unchanged"
+    [ 1.; 2.; 3.; 4. ] (Array.to_list arg);
+  check_lanes "result" [ 2.; 4.; 6.; 8. ] r1;
+  (* the result is the caller's own copy: neither mutating it nor a
+     second call can reach the other *)
+  (match r1 with Vm.VV a -> a.(0) <- -1.0 | _ -> ());
+  let r2 = Vm.call vm double [| Vm.VV arg |] in
+  check_lanes "second result" [ 2.; 4.; 6.; 8. ] r2;
+  check_lanes "first result keeps its own lanes" [ -1.; 4.; 6.; 8. ] r1
+
+(* Every type-confused read traps with the message it always had. *)
+let test_type_confusion_traps () =
+  let vm = new_vm () in
+  let v4 = Ir.Vsplat (Ir.Fk64, 4, 1, Ir.Kf 1.0) in
+  let fl = Ir.Mov (2, Ir.Kf 1.5) in
+  let int = Ir.Mov (3, Ir.Ki 8L) in
+  let cases =
+    [
+      ("expected integer, got float", [ fl; Ir.Ibin (Ir.Add, 0, Ir.Ki 1L, Ir.R 2) ]);
+      ("expected integer, got float", [ Ir.Ibin (Ir.Add, 0, Ir.Kf 1.0, Ir.Ki 1L) ]);
+      ("expected integer, got vector", [ v4; Ir.Ibin (Ir.Mul, 0, Ir.R 1, Ir.Ki 1L) ]);
+      ("expected integer, got unit", [ Ir.Iun (Ir.INeg, 0, Ir.R 3) ]);
+      ("expected integer, got float", [ fl; Ir.Br (Ir.R 2, 2, 2) ]);
+      ("expected integer, got float", [ fl; Ir.Load (Ir.I64, 0, Ir.R 2) ]);
+      ("expected integer, got vector", [ v4; Ir.Lea (0, Ir.Ki 0L, Ir.R 1, 8, 0) ]);
+      ("expected integer, got float", [ fl; Ir.Cvt (Ir.I32, Ir.F64, 0, Ir.R 2) ]);
+      ("expected float, got integer", [ int; Ir.Fbin (Ir.Fk64, Ir.FAdd, 0, Ir.R 3, Ir.Kf 1.0) ]);
+      ("expected float, got integer", [ Ir.Fun (Ir.Fk64, Ir.FSqrt, 0, Ir.Ki 4L) ]);
+      ("expected float, got vector", [ v4; Ir.Fbin (Ir.Fk64, Ir.FMul, 0, Ir.Kf 1.0, Ir.R 1) ]);
+      ("expected float, got unit", [ Ir.Vsplat (Ir.Fk64, 4, 0, Ir.R 2) ]);
+      ("expected float, got integer", [ int; Ir.Cvt (Ir.F64, Ir.I32, 0, Ir.R 3) ]);
+      ("expected vector", [ fl; Ir.Vbin (Ir.Fk64, 4, Ir.FAdd, 0, Ir.R 2, Ir.R 2) ]);
+      ("expected vector", [ Ir.Vun (Ir.Fk64, 4, Ir.FNeg, 0, Ir.Kf 1.0) ]);
+      ("expected vector", [ int; Ir.Vextract (0, Ir.R 3, 0) ]);
+      ( "expected vector",
+        [ int; Ir.Vstore (Ir.Fk64, 4, Ir.Ki (Int64.of_int (Mem.heap_base vm.Vm.mem)), Ir.R 3) ] );
+      ( "vector store width mismatch",
+        [ v4; Ir.Vstore (Ir.Fk64, 2, Ir.Ki (Int64.of_int (Mem.heap_base vm.Vm.mem)), Ir.R 1) ] );
+      ("vextract lane out of range", [ v4; Ir.Vextract (0, Ir.R 1, 4) ]);
+      ("integer division by zero", [ Ir.Ibin (Ir.Divu, 0, Ir.Ki 1L, Ir.Ki 0L) ]);
+    ]
+  in
+  List.iter
+    (fun (msg, instrs) ->
+      let id = add_fn vm 4 (Array.of_list (instrs @ [ Ir.Ret None ])) in
+      Alcotest.check_raises msg (Vm.Trap msg) (fun () -> ignore (Vm.call vm id [||])))
+    cases;
+  (* the boxed-value accessors used at the boundary share the messages *)
+  Alcotest.check_raises "to_i" (Vm.Trap "expected integer, got unit") (fun () ->
+      ignore (Vm.to_i Vm.VUnit));
+  Alcotest.check_raises "to_f" (Vm.Trap "expected float, got vector") (fun () ->
+      ignore (Vm.to_f (Vm.VV [||])));
+  Alcotest.check_raises "to_v" (Vm.Trap "expected vector") (fun () ->
+      ignore (Vm.to_v (Vm.VI 0L)))
+
 let test_call_and_args () =
   let vm = new_vm () in
   let callee =
@@ -655,6 +850,16 @@ let () =
           Alcotest.test_case "narrow store truncates" `Quick
             test_narrow_store_truncates;
           Alcotest.test_case "vector ops" `Quick test_vector_ops;
+          Alcotest.test_case "vbin destination aliases a source" `Quick
+            test_vbin_dest_aliases_source;
+          Alcotest.test_case "mov of a vector copies its lanes" `Quick
+            test_mov_vector_copies;
+          Alcotest.test_case "vectors cross call/callind/ccall unaliased" `Quick
+            test_vector_call_boundary;
+          Alcotest.test_case "vectors cross Vm.call unaliased" `Quick
+            test_vector_vm_call_boundary;
+          Alcotest.test_case "type-confusion traps keep their messages" `Quick
+            test_type_confusion_traps;
           Alcotest.test_case "call with args" `Quick test_call_and_args;
           Alcotest.test_case "indirect call" `Quick test_indirect_call;
           Alcotest.test_case "indirect bad address traps" `Quick
