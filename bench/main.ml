@@ -36,20 +36,6 @@ let record ~experiment ~series ?(n = 0) ?gflops ?fuel () =
       jr_gflops = gflops; jr_fuel = fuel }
     :: !json_rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Every context made by [fresh_ctx] runs with its Tprof probe on and is
    registered under the experiment that created it; --json emits one
    profile per experiment so each benchmark row can be traced back to
@@ -86,7 +72,7 @@ let profiles_json () =
   in
   List.rev_map
     (fun (name, ctx) ->
-      Printf.sprintf "    \"%s\": %s" (json_escape name)
+      Printf.sprintf "    \"%s\": %s" (Tprof.Json.escape name)
         (Tprof.Report.to_json (Context.profile ctx)))
     ordered
 
@@ -101,8 +87,10 @@ let write_json path =
         (fun i r ->
           let fields =
             [
-              Printf.sprintf "\"experiment\": \"%s\"" (json_escape r.jr_experiment);
-              Printf.sprintf "\"series\": \"%s\"" (json_escape r.jr_series);
+              Printf.sprintf "\"experiment\": \"%s\""
+                (Tprof.Json.escape r.jr_experiment);
+              Printf.sprintf "\"series\": \"%s\""
+                (Tprof.Json.escape r.jr_series);
               Printf.sprintf "\"n\": %d" r.jr_n;
             ]
             @ (match r.jr_gflops with
@@ -121,7 +109,7 @@ let write_json path =
       let timings = List.rev !wall_ns in
       List.iteri
         (fun i (name, ns) ->
-          Printf.fprintf oc "    \"%s\": %Ld%s\n" (json_escape name) ns
+          Printf.fprintf oc "    \"%s\": %Ld%s\n" (Tprof.Json.escape name) ns
             (if i = List.length timings - 1 then "" else ","))
         timings;
       output_string oc "  },\n  \"profiles\": {\n";
@@ -891,7 +879,7 @@ let recover_bench () =
   let req i =
     Printf.sprintf
       "{\"op\":\"run\",\"src\":\"%s\",\"retries\":0,\"tenant\":\"t%02d\"}"
-      (json_escape (if i mod 4 = 3 then div else good))
+      (Tprof.Json.escape (if i mod 4 = 3 then div else good))
       (i mod 16)
   in
   let requests = 100 in

@@ -181,6 +181,49 @@ print("serve smoke: %d responses (%d runs), drain clean"
 PY
 rm -f "$serve_out"
 
+echo "== separate evaluation smoke (saveobj + tobj_run) =="
+# A program saves an object file, and its exports then run under
+# tobj_run with no Lua anywhere.  usepick reaches helper only through the
+# function address pick returns, cmp compares against helper's address,
+# and a trapping export must exit 2 with a structured diagnostic.
+obj_dir=$(mktemp -d)
+cat > "$obj_dir/prog.t" <<EOF
+terra helper(x : int) : int return x * 3 end
+terra pick() : {int} -> int return helper end
+terra usepick(x : int) : int return pick()(x) end
+terra same(f : {int} -> int) : int
+  if f == helper then return 1 else return 0 end
+end
+terra cmp() : int return same(helper) end
+terra divide(a : int, b : int) : int return a / b end
+terralib.saveobj("$obj_dir/prog.tobj",
+  { usepick = usepick, cmp = cmp, divide = divide })
+EOF
+timeout 120 dune exec bin/terra_run.exe -- "$obj_dir/prog.t" > /dev/null
+tobj_expect() {
+  want=$1
+  shift
+  got=$(timeout 60 dune exec bin/tobj_run.exe -- "$obj_dir/prog.tobj" "$@")
+  if [ "$got" != "$want" ]; then
+    echo "tobj_run $*: printed '$got', expected '$want'" >&2
+    exit 1
+  fi
+  echo "tobj_run $* = $got"
+}
+tobj_expect 15 usepick 5
+tobj_expect 1 cmp
+tobj_expect 3 divide 7 2
+rc=0
+timeout 60 dune exec bin/tobj_run.exe -- "$obj_dir/prog.tobj" divide 7 0 \
+  > /dev/null 2> "$obj_dir/err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "trap.divzero" "$obj_dir/err"; then
+  echo "trapping export: rc=$rc, expected 2 with trap.divzero" >&2
+  cat "$obj_dir/err" >&2
+  exit 1
+fi
+echo "tobj_run divide 7 0 exits 2 (trap.divzero)"
+rm -rf "$obj_dir"
+
 echo "== profiler gate =="
 # Tprof must (a) emit valid terra-prof-1 JSON whose totals tie out,
 # (b) cost zero modeled instructions when off, and (c) render

@@ -1,6 +1,9 @@
 (* Execute a function from a saved Terra object file in a fresh VM with no
    Lua environment anywhere in the process: the paper's separate
-   evaluation, demonstrated (Section 4.1 / terralib.saveobj). *)
+   evaluation, demonstrated (Section 4.1 / terralib.saveobj).
+
+   Exit codes, as for terra_run: 0 = success, 1 = diagnostic (bad object
+   file, unknown export), 2 = runtime fault (a trap in the called code). *)
 
 let run path fname args =
   let obj =
@@ -30,7 +33,13 @@ let run path fname args =
       | Tvm.Vm.VUnit -> ()
       | Tvm.Vm.VV v ->
           Array.iter (Printf.printf "%g ") v;
-          print_newline ())
+          print_newline ()
+      | exception e -> (
+          match Terra.Diag.of_exn e with
+          | None -> raise e
+          | Some d ->
+              Printf.eprintf "%s\n" (Terra.Diag.to_string d);
+              exit (if Terra.Diag.is_runtime_fault d then 2 else 1)))
 
 let () =
   let open Cmdliner in

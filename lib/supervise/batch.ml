@@ -273,23 +273,7 @@ let run_requests_par ?(config = Supervisor.default_config) ~jobs
 (* ------------------------------------------------------------------ *)
 (* JSON report *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
+let json_str s = "\"" ^ Tprof.Json.escape s ^ "\""
 let json_opt = function Some s -> json_str s | None -> "null"
 
 let entry_to_json e =

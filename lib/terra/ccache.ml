@@ -359,118 +359,24 @@ let key ~(vm : Vm.t) ~(machine : Tmachine.Config.t) ~(intern : string -> int)
   | exception Uncacheable -> None
 
 (* ------------------------------------------------------------------ *)
-(* Entry validation — the Objfile hardening discipline for one function.
-   The digest frame already rules out accidental corruption; this rules
-   out stale formats and hostile well-formed files whose indices would
-   otherwise reach the VM's unchecked dispatch. *)
-
-exception Bad of string
+(* Entry validation.  The digest frame already rules out accidental
+   corruption; these checks rule out stale formats and entries filed
+   under the wrong key or name, and {!Tvm.Ir.validate} rules out hostile
+   IR, as {!Objfile} does for each function of an object. *)
 
 let validate_entry ~(vm : Vm.t) ~(key : string) ~(name : string) (e : entry) :
     (unit, string) result =
-  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-  try
-    if e.e_version <> format_version then
-      bad "stale format version %d (want %d)" e.e_version format_version;
-    if not (String.equal e.e_key key) then bad "key echo mismatch";
-    if not (String.equal e.e_name name) then
-      bad "entry name %S does not match %S" e.e_name name;
-    let f = e.e_func in
-    if not (String.equal f.Ir.fname name) then
-      bad "function name %S does not match %S" f.Ir.fname name;
-    let nfuncs = vm.Vm.nfuncs and nimports = vm.Vm.nimports in
-    let len = Array.length f.Ir.code in
-    if f.Ir.nparams < 0 || f.Ir.nregs < f.Ir.nparams then
-      bad "bad register counts (%d params, %d regs)" f.Ir.nparams f.Ir.nregs;
-    if f.Ir.frame_bytes < 0 || f.Ir.frame_bytes > 8 * (1 lsl 20) then
-      bad "implausible frame size %d" f.Ir.frame_bytes;
-    if len = 0 then bad "empty body";
-    let reg pc r =
-      if r < 0 || r >= f.Ir.nregs then
-        bad "pc %d: register r%d out of range" pc r
-    in
-    let dst pc = function Some r -> reg pc r | None -> () in
-    let op pc = function Ir.R r -> reg pc r | Ir.Ki _ | Ir.Kf _ -> () in
-    let ops pc l = List.iter (op pc) l in
-    let target pc l =
-      if l < 0 || l >= len then bad "pc %d: jump target %d out of range" pc l
-    in
-    let lanes pc l =
-      if l < 1 || l > 16 then bad "pc %d: bad vector width %d" pc l
-    in
-    Array.iteri
-      (fun pc ins ->
-        match ins with
-        | Ir.Mov (d, a) | Ir.Iun (_, d, a) | Ir.Fun (_, _, d, a) ->
-            reg pc d;
-            op pc a
-        | Ir.Ibin (_, d, a, bb) | Ir.Fbin (_, _, d, a, bb) ->
-            reg pc d;
-            op pc a;
-            op pc bb
-        | Ir.Lea (d, base, i, _, _) ->
-            reg pc d;
-            op pc base;
-            op pc i
-        | Ir.Load (_, d, a) ->
-            reg pc d;
-            op pc a
-        | Ir.Store (_, a, v) ->
-            op pc a;
-            op pc v
-        | Ir.Vload (_, l, d, a) | Ir.Vsplat (_, l, d, a) ->
-            lanes pc l;
-            reg pc d;
-            op pc a
-        | Ir.Vstore (_, l, a, v) ->
-            lanes pc l;
-            op pc a;
-            op pc v
-        | Ir.Vbin (_, l, _, d, a, bb) ->
-            lanes pc l;
-            reg pc d;
-            op pc a;
-            op pc bb
-        | Ir.Vun (_, l, _, d, a) ->
-            lanes pc l;
-            reg pc d;
-            op pc a
-        | Ir.Vextract (d, a, i) ->
-            reg pc d;
-            op pc a;
-            if i < 0 || i >= 16 then bad "pc %d: bad vector lane %d" pc i
-        | Ir.Cvt (_, _, d, a) ->
-            reg pc d;
-            op pc a
-        | Ir.Call (d, target_id, args) ->
-            dst pc d;
-            ops pc args;
-            if target_id < 0 || target_id >= nfuncs then
-              bad "pc %d: call target %d out of range" pc target_id
-        | Ir.Callind (d, fptr, args) ->
-            dst pc d;
-            op pc fptr;
-            ops pc args
-        | Ir.Ccall (d, i, args) ->
-            dst pc d;
-            ops pc args;
-            if i < 0 || i >= nimports then
-              bad "pc %d: import %d out of range" pc i
-        | Ir.Prefetch a -> op pc a
-        | Ir.FrameAddr (d, _) -> reg pc d
-        | Ir.SpillTouch _ -> ()
-        | Ir.Jmp l -> target pc l
-        | Ir.Br (c, a, bb) ->
-            op pc c;
-            target pc a;
-            target pc bb
-        | Ir.Ret a -> Option.iter (op pc) a)
-      f.Ir.code;
-    (match f.Ir.code.(len - 1) with
-    | Ir.Ret _ | Ir.Jmp _ | Ir.Br _ -> ()
-    | _ -> bad "body does not end in a terminator");
-    Ok ()
-  with Bad msg -> Error msg
+  let f = e.e_func in
+  if e.e_version <> format_version then
+    Error
+      (Printf.sprintf "stale format version %d (want %d)" e.e_version
+         format_version)
+  else if not (String.equal e.e_key key) then Error "key echo mismatch"
+  else if not (String.equal e.e_name name) then
+    Error (Printf.sprintf "entry name %S does not match %S" e.e_name name)
+  else if not (String.equal f.Ir.fname name) then
+    Error (Printf.sprintf "function name %S does not match %S" f.Ir.fname name)
+  else Ir.validate ~nfuncs:vm.Vm.nfuncs ~nimports:vm.Vm.nimports f
 
 (* ------------------------------------------------------------------ *)
 (* Lookup / store *)

@@ -642,32 +642,6 @@ and compile_block em addrset b = List.iter (compile_stat em addrset) b
 (* ------------------------------------------------------------------ *)
 (* Vector-register spill modeling *)
 
-let instr_regs (i : Ir.instr) : Ir.reg list =
-  let ops l = List.filter_map (function Ir.R r -> Some r | _ -> None) l in
-  match i with
-  | Ir.Mov (d, a) -> d :: ops [ a ]
-  | Ir.Ibin (_, d, a, b) | Ir.Fbin (_, _, d, a, b) -> d :: ops [ a; b ]
-  | Ir.Iun (_, d, a) | Ir.Fun (_, _, d, a) -> d :: ops [ a ]
-  | Ir.Lea (d, a, b, _, _) -> d :: ops [ a; b ]
-  | Ir.Load (_, d, a) | Ir.Vload (_, _, d, a) -> d :: ops [ a ]
-  | Ir.Store (_, a, v) | Ir.Vstore (_, _, a, v) -> ops [ a; v ]
-  | Ir.Vsplat (_, _, d, a) -> d :: ops [ a ]
-  | Ir.Vbin (_, _, _, d, a, b) -> d :: ops [ a; b ]
-  | Ir.Vun (_, _, _, d, a) -> d :: ops [ a ]
-  | Ir.Vextract (d, a, _) -> d :: ops [ a ]
-  | Ir.Cvt (_, _, d, a) -> d :: ops [ a ]
-  | Ir.Call (d, _, args) | Ir.Ccall (d, _, args) ->
-      (match d with Some d -> [ d ] | None -> []) @ ops args
-  | Ir.Callind (d, f, args) ->
-      (match d with Some d -> [ d ] | None -> []) @ ops (f :: args)
-  | Ir.Prefetch a -> ops [ a ]
-  | Ir.FrameAddr (d, _) -> [ d ]
-  | Ir.SpillTouch _ -> []
-  | Ir.Jmp _ -> []
-  | Ir.Br (c, _, _) -> ops [ c ]
-  | Ir.Ret (Some a) -> ops [ a ]
-  | Ir.Ret None -> []
-
 (** Register-pressure model: named vector-typed locals are the values
     live across loop iterations; when they outnumber the machine's vector
     register file, the later-declared ones are spilled (accumulators are
@@ -693,7 +667,9 @@ let spill_pass em (pis : pinstr list) : pinstr list * int =
           match pi with
           | P i ->
               let touches =
-                List.exists (fun r -> Hashtbl.mem spilled r) (instr_regs i)
+                List.exists
+                  (fun r -> Hashtbl.mem spilled r)
+                  (Option.to_list (Ir.def i) @ Ir.reg_uses i)
               in
               if touches then [ P (Ir.SpillTouch slot); pi ] else [ pi ]
           | pi -> [ pi ])

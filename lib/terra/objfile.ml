@@ -20,57 +20,52 @@ type obj = {
 
 let magic = "TERRAOBJ2\n"
 
+(* A function-address immediate, when it names a function that exists:
+   one of the first [nfuncs] ids.  Only operands of instructions that
+   [Ir.carries_func_addr] are looked at; a literal 0x40000000 + 16k moved,
+   stored, passed, returned or compared is still taken for function k. *)
+let func_ref ~nfuncs = function
+  | Ir.Ki k -> (
+      match Ir.func_of_addr (Int64.to_int k) with
+      | Some id when id < nfuncs -> Some id
+      | _ -> None)
+  | _ -> None
+
 (* Gather the transitive closure of VM functions reachable from the
    exports, through direct calls, function-address immediates, and static
    function-pointer relocations (vtables). *)
 let reachable vm roots =
+  let nfuncs = vm.Vm.nfuncs in
   let order = ref [] in
   let seen = Hashtbl.create 16 in
   let rec visit id =
     if not (Hashtbl.mem seen id) then begin
       Hashtbl.replace seen id ();
-      let f = Vm.func vm id in
       Array.iter
         (fun ins ->
-          let visit_op = function
-            | Ir.Ki k -> (
-                match Ir.func_of_addr (Int64.to_int k) with
-                | Some target -> visit target
-                | None -> ())
-            | _ -> ()
-          in
-          match ins with
-          | Ir.Call (_, target, args) ->
-              visit target;
-              List.iter visit_op args
-          | Ir.Mov (_, a) -> visit_op a
-          | Ir.Store (_, a, v) ->
-              visit_op a;
-              visit_op v
-          | Ir.Callind (_, f, args) -> List.iter visit_op (f :: args)
-          | Ir.Ccall (_, _, args) -> List.iter visit_op args
-          | _ -> ())
-        f.Ir.code;
+          (match ins with Ir.Call (_, target, _) -> visit target | _ -> ());
+          if Ir.carries_func_addr ins then
+            List.iter
+              (fun o -> Option.iter visit (func_ref ~nfuncs o))
+              (Ir.uses ins))
+        (Vm.func vm id).Ir.code;
       order := id :: !order
     end
   in
   List.iter visit roots;
   List.rev !order
 
-let remap_instr map_f map_i (ins : Ir.instr) : Ir.instr =
-  let op = function
-    | Ir.Ki k as o -> (
-        match Ir.func_of_addr (Int64.to_int k) with
-        | Some id -> Ir.Ki (Int64.of_int (Ir.func_addr (map_f id)))
-        | None -> o)
-    | o -> o
+(* Renumber the functions and imports an instruction names: its call
+   target, its import, and every function-address immediate it reads. *)
+let remap_instr ~nfuncs map_f map_i (ins : Ir.instr) : Ir.instr =
+  let op o =
+    match func_ref ~nfuncs o with
+    | Some id -> Ir.Ki (Int64.of_int (Ir.func_addr (map_f id)))
+    | None -> o
   in
-  match ins with
-  | Ir.Call (d, f, args) -> Ir.Call (d, map_f f, List.map op args)
-  | Ir.Ccall (d, i, args) -> Ir.Ccall (d, map_i i, List.map op args)
-  | Ir.Callind (d, f, args) -> Ir.Callind (d, op f, List.map op args)
-  | Ir.Mov (d, a) -> Ir.Mov (d, op a)
-  | Ir.Store (m, a, v) -> Ir.Store (m, op a, op v)
+  match if Ir.carries_func_addr ins then Ir.map_uses op ins else ins with
+  | Ir.Call (d, f, args) -> Ir.Call (d, map_f f, args)
+  | Ir.Ccall (d, i, args) -> Ir.Ccall (d, map_i i, args)
   | ins -> ins
 
 (** Build an object from compiled functions of a context. *)
@@ -112,7 +107,10 @@ let build (fns : (string * Func.t) list) : obj =
         List.map
           (fun id ->
             let f = Vm.func vm id in
-            { f with Ir.code = Array.map (remap_instr map_f map_i) f.Ir.code })
+            let code =
+              Array.map (remap_instr ~nfuncs:vm.Vm.nfuncs map_f map_i) f.Ir.code
+            in
+            { f with Ir.code })
           ids
       in
       (* snapshot static data (interned strings, globals' initial values) *)
@@ -168,108 +166,10 @@ let validate path (obj : obj) =
       obj.o_statics_len;
   Array.iteri
     (fun fid (f : Ir.func) ->
-      let where fmt =
-        Printf.ksprintf (fun s -> Printf.sprintf "function %d (%s): %s" fid f.Ir.fname s) fmt
-      in
-      let len = Array.length f.Ir.code in
-      if f.Ir.nparams < 0 || f.Ir.nregs < f.Ir.nparams then
-        bad_file path "%s"
-          (where "bad register counts (%d params, %d regs)" f.Ir.nparams
-             f.Ir.nregs);
-      if f.Ir.frame_bytes < 0 || f.Ir.frame_bytes > 8 * (1 lsl 20) then
-        bad_file path "%s" (where "implausible frame size %d" f.Ir.frame_bytes);
-      if len = 0 then bad_file path "%s" (where "empty body");
-      let reg pc r =
-        if r < 0 || r >= f.Ir.nregs then
-          bad_file path "%s" (where "pc %d: register r%d out of range" pc r)
-      in
-      let dst pc = function Some r -> reg pc r | None -> () in
-      let op pc = function Ir.R r -> reg pc r | Ir.Ki _ | Ir.Kf _ -> () in
-      let ops pc l = List.iter (op pc) l in
-      let target pc l =
-        if l < 0 || l >= len then
-          bad_file path "%s" (where "pc %d: jump target %d out of range" pc l)
-      in
-      let lanes pc l =
-        if l < 1 || l > 16 then
-          bad_file path "%s" (where "pc %d: bad vector width %d" pc l)
-      in
-      Array.iteri
-        (fun pc ins ->
-          match ins with
-          | Ir.Mov (d, a) | Ir.Iun (_, d, a) | Ir.Fun (_, _, d, a) ->
-              reg pc d;
-              op pc a
-          | Ir.Ibin (_, d, a, b) | Ir.Fbin (_, _, d, a, b) ->
-              reg pc d;
-              op pc a;
-              op pc b
-          | Ir.Lea (d, b, i, _, _) ->
-              reg pc d;
-              op pc b;
-              op pc i
-          | Ir.Load (_, d, a) ->
-              reg pc d;
-              op pc a
-          | Ir.Store (_, a, v) ->
-              op pc a;
-              op pc v
-          | Ir.Vload (_, l, d, a) | Ir.Vsplat (_, l, d, a) ->
-              lanes pc l;
-              reg pc d;
-              op pc a
-          | Ir.Vstore (_, l, a, v) ->
-              lanes pc l;
-              op pc a;
-              op pc v
-          | Ir.Vbin (_, l, _, d, a, b) ->
-              lanes pc l;
-              reg pc d;
-              op pc a;
-              op pc b
-          | Ir.Vun (_, l, _, d, a) ->
-              lanes pc l;
-              reg pc d;
-              op pc a
-          | Ir.Vextract (d, a, i) ->
-              reg pc d;
-              op pc a;
-              if i < 0 || i >= 16 then
-                bad_file path "%s" (where "pc %d: bad vector lane %d" pc i)
-          | Ir.Cvt (_, _, d, a) ->
-              reg pc d;
-              op pc a
-          | Ir.Call (d, target_id, args) ->
-              dst pc d;
-              ops pc args;
-              if target_id < 0 || target_id >= nfuncs then
-                bad_file path "%s"
-                  (where "pc %d: call target %d out of range" pc target_id)
-          | Ir.Callind (d, fptr, args) ->
-              dst pc d;
-              op pc fptr;
-              ops pc args
-          | Ir.Ccall (d, i, args) ->
-              dst pc d;
-              ops pc args;
-              if i < 0 || i >= nimports then
-                bad_file path "%s"
-                  (where "pc %d: import %d out of range" pc i)
-          | Ir.Prefetch a -> op pc a
-          | Ir.FrameAddr (d, _) -> reg pc d
-          | Ir.SpillTouch _ -> ()
-          | Ir.Jmp l -> target pc l
-          | Ir.Br (c, a, b) ->
-              op pc c;
-              target pc a;
-              target pc b
-          | Ir.Ret a -> Option.iter (op pc) a)
-        f.Ir.code;
-      (* the interpreter falls off the end of a body whose last
-         instruction is not a terminator: require one *)
-      match f.Ir.code.(len - 1) with
-      | Ir.Ret _ | Ir.Jmp _ | Ir.Br _ -> ()
-      | _ -> bad_file path "%s" (where "body does not end in a terminator"))
+      match Ir.validate ~nfuncs ~nimports f with
+      | Ok () -> ()
+      | Error msg ->
+          bad_file path "function %d (%s): %s" fid f.Ir.fname msg)
     obj.o_funcs;
   List.iter
     (fun (name, id) ->
@@ -321,9 +221,10 @@ let instantiate ?machine ?mem_bytes (obj : obj) =
     obj.o_funcs;
   let map_f i = first + i in
   let map_i i = Vm.import vm obj.o_imports.(i) in
+  let nfuncs = Array.length obj.o_funcs in
   Array.iteri
     (fun i f ->
-      let code = Array.map (remap_instr map_f map_i) f.Ir.code in
+      let code = Array.map (remap_instr ~nfuncs map_f map_i) f.Ir.code in
       Vm.set_func vm (first + i) { f with Ir.code })
     obj.o_funcs;
   (* patch function pointers embedded in static data (vtables) *)

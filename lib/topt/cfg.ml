@@ -169,83 +169,8 @@ let to_func (t : t) : Ir.func =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Instruction introspection                                           *)
+(* Optimizer policy                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let def_of = function
-  | Ir.Mov (d, _)
-  | Ibin (_, d, _, _)
-  | Fbin (_, _, d, _, _)
-  | Iun (_, d, _)
-  | Fun (_, _, d, _)
-  | Lea (d, _, _, _, _)
-  | Load (_, d, _)
-  | Vload (_, _, d, _)
-  | Vsplat (_, _, d, _)
-  | Vbin (_, _, _, d, _, _)
-  | Vun (_, _, _, d, _)
-  | Vextract (d, _, _)
-  | Cvt (_, _, d, _)
-  | FrameAddr (d, _) ->
-      Some d
-  | Call (d, _, _) | Callind (d, _, _) | Ccall (d, _, _) -> d
-  | Store _ | Vstore _ | Prefetch _ | SpillTouch _ | Jmp _ | Br _ | Ret _ ->
-      None
-
-let uses_of = function
-  | Ir.Mov (_, a)
-  | Iun (_, _, a)
-  | Fun (_, _, _, a)
-  | Load (_, _, a)
-  | Vload (_, _, _, a)
-  | Vsplat (_, _, _, a)
-  | Vun (_, _, _, _, a)
-  | Vextract (_, a, _)
-  | Cvt (_, _, _, a)
-  | Prefetch a ->
-      [ a ]
-  | Ibin (_, _, a, b)
-  | Fbin (_, _, _, a, b)
-  | Lea (_, a, b, _, _)
-  | Store (_, a, b)
-  | Vstore (_, _, a, b)
-  | Vbin (_, _, _, _, a, b) ->
-      [ a; b ]
-  | Call (_, _, args) | Ccall (_, _, args) -> args
-  | Callind (_, f, args) -> f :: args
-  | FrameAddr _ | SpillTouch _ | Jmp _ -> []
-  | Br (c, _, _) -> [ c ]
-  | Ret (Some a) -> [ a ]
-  | Ret None -> []
-
-let reg_uses ins =
-  List.filter_map (function Ir.R r -> Some r | _ -> None) (uses_of ins)
-
-(** Rewrite the operands an instruction reads (not its destination). *)
-let map_uses f = function
-  | Ir.Mov (d, a) -> Ir.Mov (d, f a)
-  | Ibin (op, d, a, b) -> Ibin (op, d, f a, f b)
-  | Fbin (fk, op, d, a, b) -> Fbin (fk, op, d, f a, f b)
-  | Iun (op, d, a) -> Iun (op, d, f a)
-  | Fun (fk, op, d, a) -> Fun (fk, op, d, f a)
-  | Lea (d, a, b, s, o) -> Lea (d, f a, f b, s, o)
-  | Load (m, d, a) -> Load (m, d, f a)
-  | Store (m, a, v) -> Store (m, f a, f v)
-  | Vload (fk, l, d, a) -> Vload (fk, l, d, f a)
-  | Vstore (fk, l, a, v) -> Vstore (fk, l, f a, f v)
-  | Vsplat (fk, l, d, a) -> Vsplat (fk, l, d, f a)
-  | Vbin (fk, l, op, d, a, b) -> Vbin (fk, l, op, d, f a, f b)
-  | Vun (fk, l, op, d, a) -> Vun (fk, l, op, d, f a)
-  | Vextract (d, a, i) -> Vextract (d, f a, i)
-  | Cvt (ft, tt, d, a) -> Cvt (ft, tt, d, f a)
-  | Call (d, fi, args) -> Call (d, fi, List.map f args)
-  | Callind (d, fn, args) -> Callind (d, f fn, List.map f args)
-  | Ccall (d, i, args) -> Ccall (d, i, List.map f args)
-  | Prefetch a -> Prefetch (f a)
-  | (FrameAddr _ | SpillTouch _ | Jmp _) as ins -> ins
-  | Br (c, a, b) -> Br (f c, a, b)
-  | Ret (Some a) -> Ret (Some (f a))
-  | Ret None -> Ret None
 
 (** Pure, never-trapping on type-correct input, and free of memory/system
     effects: safe to delete when dead and to hoist out of loops.  Memory
@@ -338,8 +263,8 @@ let def_info (t : t) : definfo =
     (fun b ->
       List.iteri
         (fun i ins ->
-          List.iter use (reg_uses ins);
-          match def_of ins with Some d -> def d b.bid i | None -> ())
+          List.iter use (Ir.reg_uses ins);
+          match Ir.def ins with Some d -> def d b.bid i | None -> ())
         b.instrs;
       match b.term with
       | Tbr (Ir.R r, _, _) -> use r

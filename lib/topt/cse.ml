@@ -119,7 +119,7 @@ let run ~allow_loads (cfg : Cfg.t) : int =
                   kill_loads ()
               | _ -> ());
               let replaced =
-                match (key_of ~allow_loads ins, Cfg.def_of ins) with
+                match (key_of ~allow_loads ins, Ir.def ins) with
                 | Some k, Some d -> (
                     match List.assoc_opt k !tbl with
                     | Some h when h <> d ->
@@ -131,8 +131,8 @@ let run ~allow_loads (cfg : Cfg.t) : int =
                 | _ -> false
               in
               if not replaced then begin
-                (match Cfg.def_of ins with Some d -> kill_reg d | None -> ());
-                (match (key_of ~allow_loads ins, Cfg.def_of ins) with
+                (match Ir.def ins with Some d -> kill_reg d | None -> ());
+                (match (key_of ~allow_loads ins, Ir.def ins) with
                 | Some k, Some d when di.Cfg.def_counts.(d) = 1 ->
                     tbl := (k, d) :: !tbl
                 | _ -> ());

@@ -25,8 +25,8 @@ let run (cfg : Cfg.t) : int =
         let see_use r = if r < nregs && not def.(r) then use.(r) <- true in
         List.iter
           (fun ins ->
-            List.iter see_use (Cfg.reg_uses ins);
-            match Cfg.def_of ins with
+            List.iter see_use (Ir.reg_uses ins);
+            match Ir.def ins with
             | Some d when d < nregs -> def.(d) <- true
             | _ -> ())
           b.Cfg.instrs;
@@ -84,18 +84,18 @@ let run (cfg : Cfg.t) : int =
         let kept = ref [] in
         List.iter
           (fun ins ->
-            match Cfg.def_of ins with
+            match Ir.def ins with
             | Some d
               when d < nregs && (not live.(d)) && Cfg.speculable ins ->
                 incr events;
                 deleted := true
             | _ ->
-                (match Cfg.def_of ins with
+                (match Ir.def ins with
                 | Some d when d < nregs -> live.(d) <- false
                 | _ -> ());
                 List.iter
                   (fun r -> if r < nregs then live.(r) <- true)
-                  (Cfg.reg_uses ins);
+                  (Ir.reg_uses ins);
                 kept := ins :: !kept)
           (List.rev b.Cfg.instrs);
         b.Cfg.instrs <- !kept)

@@ -34,7 +34,7 @@ let run (cfg : Cfg.t) : int =
       (fun b ->
         List.iter
           (fun ins ->
-            match Cfg.def_of ins with
+            match Ir.def ins with
             | Some d when d < Array.length def_blocks ->
                 def_blocks.(d) <- IS.add b.Cfg.bid def_blocks.(d)
             | _ -> ())
@@ -155,17 +155,17 @@ let run (cfg : Cfg.t) : int =
                     (fun ins ->
                       let movable =
                         Cfg.speculable ins
-                        && (match Cfg.def_of ins with
+                        && (match Ir.def ins with
                            | Some d ->
                                d < Array.length di.Cfg.def_counts
                                && di.Cfg.def_counts.(d) = 1
                            | None -> false)
-                        && List.for_all invariant_op (Cfg.uses_of ins)
+                        && List.for_all invariant_op (Ir.uses ins)
                       in
                       if movable then begin
                         let ph = get_preheader () in
                         ph.Cfg.instrs <- ph.Cfg.instrs @ [ ins ];
-                        (match Cfg.def_of ins with
+                        (match Ir.def ins with
                         | Some d ->
                             Hashtbl.replace hoisted_regs d ();
                             if d < Array.length def_blocks then

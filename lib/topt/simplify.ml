@@ -75,7 +75,7 @@ let global_copyprop (cfg : Cfg.t) : int =
       b.Cfg.instrs <-
         List.mapi
           (fun i ins ->
-            Cfg.map_uses (rewrite_operand ~usepoint:(b.Cfg.bid, i)) ins)
+            Ir.map_uses (rewrite_operand ~usepoint:(b.Cfg.bid, i)) ins)
           b.Cfg.instrs;
       let tp = (b.Cfg.bid, max_int) in
       match b.Cfg.term with
@@ -213,13 +213,13 @@ let local_simplify (cfg : Cfg.t) : int =
       let out = ref [] in
       List.iter
         (fun ins ->
-          let ins = Cfg.map_uses subst ins in
+          let ins = Ir.map_uses subst ins in
           (* fold to a constant Mov if all operands are now constant *)
           let ins =
             match fold_instr ins with
             | Some k -> (
                 incr events;
-                match Cfg.def_of ins with
+                match Ir.def ins with
                 | Some d -> Ir.Mov (d, k)
                 | None -> ins)
             | None -> ins
@@ -264,7 +264,7 @@ let local_simplify (cfg : Cfg.t) : int =
           match ins with
           | Ir.Mov (d, R s) when d = s -> incr events
           | _ ->
-              (match Cfg.def_of ins with Some d -> kill d | None -> ());
+              (match Ir.def ins with Some d -> kill d | None -> ());
               (match ins with
               | Ir.Mov (d, ((Ir.Ki _ | Ir.Kf _) as k)) ->
                   Hashtbl.replace env_const d k
@@ -318,7 +318,7 @@ let fuse_defs (cfg : Cfg.t) : int =
     (fun b ->
       let rec walk = function
         | i1 :: Ir.Mov (r, R w) :: rest
-          when Cfg.def_of i1 = Some w && r <> w
+          when Ir.def i1 = Some w && r <> w
                && di.Cfg.def_counts.(w) = 1
                && di.Cfg.use_counts.(w) = 1 ->
             incr events;

@@ -90,6 +90,154 @@ let func_of_addr a =
   if a < func_addr_base || (a - func_addr_base) mod 16 <> 0 then None
   else Some ((a - func_addr_base) / 16)
 
+(* ------------------------------------------------------------------ *)
+(* Instruction shape: the one place that knows which register an
+   instruction writes and which operands it reads.  The optimizer, the
+   spill model, the loaders' validator and the object linker all walk
+   instructions through these. *)
+
+let def = function
+  | Mov (d, _)
+  | Ibin (_, d, _, _)
+  | Fbin (_, _, d, _, _)
+  | Iun (_, d, _)
+  | Fun (_, _, d, _)
+  | Lea (d, _, _, _, _)
+  | Load (_, d, _)
+  | Vload (_, _, d, _)
+  | Vsplat (_, _, d, _)
+  | Vbin (_, _, _, d, _, _)
+  | Vun (_, _, _, d, _)
+  | Vextract (d, _, _)
+  | Cvt (_, _, d, _)
+  | FrameAddr (d, _) ->
+      Some d
+  | Call (d, _, _) | Callind (d, _, _) | Ccall (d, _, _) -> d
+  | Store _ | Vstore _ | Prefetch _ | SpillTouch _ | Jmp _ | Br _ | Ret _ ->
+      None
+
+let uses = function
+  | Mov (_, a)
+  | Iun (_, _, a)
+  | Fun (_, _, _, a)
+  | Load (_, _, a)
+  | Vload (_, _, _, a)
+  | Vsplat (_, _, _, a)
+  | Vun (_, _, _, _, a)
+  | Vextract (_, a, _)
+  | Cvt (_, _, _, a)
+  | Prefetch a ->
+      [ a ]
+  | Ibin (_, _, a, b)
+  | Fbin (_, _, _, a, b)
+  | Lea (_, a, b, _, _)
+  | Store (_, a, b)
+  | Vstore (_, _, a, b)
+  | Vbin (_, _, _, _, a, b) ->
+      [ a; b ]
+  | Call (_, _, args) | Ccall (_, _, args) -> args
+  | Callind (_, f, args) -> f :: args
+  | FrameAddr _ | SpillTouch _ | Jmp _ -> []
+  | Br (c, _, _) -> [ c ]
+  | Ret (Some a) -> [ a ]
+  | Ret None -> []
+
+let reg_uses ins =
+  List.filter_map (function R r -> Some r | _ -> None) (uses ins)
+
+(** Rewrite the operands an instruction reads (not its destination). *)
+let map_uses f = function
+  | Mov (d, a) -> Mov (d, f a)
+  | Ibin (op, d, a, b) -> Ibin (op, d, f a, f b)
+  | Fbin (fk, op, d, a, b) -> Fbin (fk, op, d, f a, f b)
+  | Iun (op, d, a) -> Iun (op, d, f a)
+  | Fun (fk, op, d, a) -> Fun (fk, op, d, f a)
+  | Lea (d, a, b, s, o) -> Lea (d, f a, f b, s, o)
+  | Load (m, d, a) -> Load (m, d, f a)
+  | Store (m, a, v) -> Store (m, f a, f v)
+  | Vload (fk, l, d, a) -> Vload (fk, l, d, f a)
+  | Vstore (fk, l, a, v) -> Vstore (fk, l, f a, f v)
+  | Vsplat (fk, l, d, a) -> Vsplat (fk, l, d, f a)
+  | Vbin (fk, l, op, d, a, b) -> Vbin (fk, l, op, d, f a, f b)
+  | Vun (fk, l, op, d, a) -> Vun (fk, l, op, d, f a)
+  | Vextract (d, a, i) -> Vextract (d, f a, i)
+  | Cvt (ft, tt, d, a) -> Cvt (ft, tt, d, f a)
+  | Call (d, fi, args) -> Call (d, fi, List.map f args)
+  | Callind (d, fn, args) -> Callind (d, f fn, List.map f args)
+  | Ccall (d, i, args) -> Ccall (d, i, List.map f args)
+  | Prefetch a -> Prefetch (f a)
+  | (FrameAddr _ | SpillTouch _ | Jmp _) as ins -> ins
+  | Br (c, a, b) -> Br (f c, a, b)
+  | Ret (Some a) -> Ret (Some (f a))
+  | Ret None -> Ret None
+
+(** Whether the operands an instruction reads can hold a function address:
+    moves, stores, call arguments and indirect-call targets, returns and
+    (in)equality tests.  Arithmetic, memory addresses and branch
+    conditions never do, so the object linker leaves their integer
+    literals alone even when one looks like [func_addr k]. *)
+let carries_func_addr = function
+  | Mov _ | Store _ | Call _ | Callind _ | Ccall _ | Ret _
+  | Ibin ((Eq | Ne), _, _, _) ->
+      true
+  | _ -> false
+
+(** Structural validation of one function read from disk (a compile-cache
+    entry or an object file).  A framing digest rules out accidental
+    corruption; this rules out hostile or buggy well-formed input whose
+    indices would otherwise reach the VM's unchecked dispatch: register
+    numbers, jump targets, vector widths and lanes, call targets below
+    [nfuncs] and imports below [nimports].  The interpreter falls off
+    the end of a body whose last instruction is not a terminator, so one
+    is required. *)
+let validate ~nfuncs ~nimports f : (unit, string) result =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
+  let len = Array.length f.code in
+  let reg pc r =
+    if r < 0 || r >= f.nregs then bad "pc %d: register r%d out of range" pc r
+  in
+  let target pc l =
+    if l < 0 || l >= len then bad "pc %d: jump target %d out of range" pc l
+  in
+  try
+    if f.nparams < 0 || f.nregs < f.nparams then
+      bad "bad register counts (%d params, %d regs)" f.nparams f.nregs;
+    if f.frame_bytes < 0 || f.frame_bytes > 8 * (1 lsl 20) then
+      bad "implausible frame size %d" f.frame_bytes;
+    if len = 0 then bad "empty body";
+    Array.iteri
+      (fun pc ins ->
+        (match ins with
+        | Vload (_, l, _, _)
+        | Vstore (_, l, _, _)
+        | Vsplat (_, l, _, _)
+        | Vbin (_, l, _, _, _, _)
+        | Vun (_, l, _, _, _)
+          when l < 1 || l > 16 ->
+            bad "pc %d: bad vector width %d" pc l
+        | _ -> ());
+        Option.iter (reg pc) (def ins);
+        List.iter (reg pc) (reg_uses ins);
+        match ins with
+        | Vextract (_, _, i) when i < 0 || i >= 16 ->
+            bad "pc %d: bad vector lane %d" pc i
+        | Call (_, t, _) when t < 0 || t >= nfuncs ->
+            bad "pc %d: call target %d out of range" pc t
+        | Ccall (_, i, _) when i < 0 || i >= nimports ->
+            bad "pc %d: import %d out of range" pc i
+        | Jmp l -> target pc l
+        | Br (_, a, b) ->
+            target pc a;
+            target pc b
+        | _ -> ())
+      f.code;
+    (match f.code.(len - 1) with
+    | Ret _ | Jmp _ | Br _ -> ()
+    | _ -> bad "body does not end in a terminator");
+    Ok ()
+  with Bad msg -> Error msg
+
 let pp_operand ppf = function
   | R r -> Format.fprintf ppf "r%d" r
   | Ki i -> Format.fprintf ppf "%Ld" i

@@ -601,6 +601,24 @@ let exec_tests =
 (* ------------------------------------------------------------------ *)
 (* FFI and separate evaluation *)
 
+(* Run a program that saves an object file to the path given for its %S,
+   load that object into a fresh VM, and return a caller for its integer
+   exports. *)
+let saved_object (src : (string -> string, unit, string) format) =
+  let e = Engine.create () in
+  let path = Filename.temp_file "terra_test" ".tobj" in
+  ignore (Engine.run e (Printf.sprintf src path));
+  let obj = Objfile.load_file path in
+  Sys.remove path;
+  let vm, exports = Objfile.instantiate obj in
+  fun name args ->
+    match
+      Tvm.Vm.call vm (List.assoc name exports)
+        (Array.of_list (List.map (fun a -> Tvm.Vm.VI a) args))
+    with
+    | Tvm.Vm.VI v -> v
+    | _ -> Alcotest.failf "%s: int expected" name
+
 let ffi_tests =
   [
     quick "lua numbers cross the boundary" (expect "f"
@@ -660,6 +678,39 @@ let ffi_tests =
          with
         | Tvm.Vm.VI v -> Alcotest.(check int64) "runs standalone" 43L v
         | _ -> Alcotest.fail "int expected"));
+    quick "saveobj links returned and compared function addresses"
+      (fun () ->
+        (* [helper] is not exported: it is reachable only through the
+           address [pick] returns and the address [same] compares with *)
+        let call =
+          saved_object
+            {|terra helper(x : int) : int return x * 3 end
+              terra pick() : {int} -> int return helper end
+              terra usepick(x : int) : int return pick()(x) end
+              terra same(f : {int} -> int) : int
+                if f == helper then return 1 else return 0 end
+              end
+              terra cmp() : int return same(helper) end
+              terralib.saveobj(%S, { usepick = usepick, cmp = cmp })|}
+        in
+        Alcotest.(check int64) "usepick 5" 15L (call "usepick" [ 5L ]);
+        Alcotest.(check int64) "cmp" 1L (call "cmp" []));
+    quick "saveobj keeps integer literals that look like addresses" (fun () ->
+        (* 0x40000000 + 16k is function k's address; as an arithmetic
+           operand it is a plain integer and must survive linking *)
+        let call =
+          saved_object
+            {|terra first(x : int64) : int64 return x - 1 end
+              terra second(x : int64) : int64 return x - 2 end
+              terra inc(x : int64) : int64 return x + 1 end
+              terra low30(x : int64) : int64 return inc(x) %% 1073741824 end
+              terra plus(x : int64) : int64 return inc(x) + 1073741840 end
+              local warm = first(0) + second(0)
+              terralib.saveobj(%S, { low30 = low30, plus = plus })|}
+        in
+        Alcotest.(check int64) "low30 wraps" 0L (call "low30" [ 1073741823L ]);
+        Alcotest.(check int64) "low30" 6L (call "low30" [ 5L ]);
+        Alcotest.(check int64) "plus" 1073741842L (call "plus" [ 1L ]));
     quick "separate context per engine" (fun () ->
         let e1 = Engine.create () in
         let e2 = Engine.create () in

@@ -772,6 +772,123 @@ let test_pp_func_golden () =
     \    2: ret r2\n"
     (Format.asprintf "%a" Ir.pp_func f)
 
+(* ------------------------------------------------------------------ *)
+(* IR validation: one single-fault function per rejection, each with
+   the exact message the compile cache and the object loader report *)
+
+let validate_cases =
+  let base =
+    { Ir.fname = "f"; nparams = 1; nregs = 4; frame_bytes = 0; code = [||] }
+  in
+  let f code = { base with Ir.code = Array.of_list code } in
+  let ret = f [ Ir.Ret None ] in
+  [
+    ( "destination register",
+      f [ Ir.Mov (4, Ir.Ki 0L); Ir.Ret None ],
+      "pc 0: register r4 out of range" );
+    ( "negative destination register",
+      f [ Ir.Mov (-1, Ir.Ki 0L); Ir.Ret None ],
+      "pc 0: register r-1 out of range" );
+    ( "operand register",
+      f [ Ir.Mov (0, Ir.R 9); Ir.Ret None ],
+      "pc 0: register r9 out of range" );
+    ( "call argument register",
+      f [ Ir.Call (None, 0, [ Ir.R 0; Ir.R 5 ]); Ir.Ret None ],
+      "pc 0: register r5 out of range" );
+    ( "callind target register",
+      f [ Ir.Callind (None, Ir.R 7, []); Ir.Ret None ],
+      "pc 0: register r7 out of range" );
+    ( "returned register",
+      f [ Ir.Ret (Some (Ir.R 4)) ],
+      "pc 0: register r4 out of range" );
+    ("jump to -1", f [ Ir.Jmp (-1) ], "pc 0: jump target -1 out of range");
+    ( "jump to the code length",
+      f [ Ir.Mov (0, Ir.Ki 0L); Ir.Jmp 2 ],
+      "pc 1: jump target 2 out of range" );
+    ( "branch target",
+      f [ Ir.Br (Ir.R 0, 0, 5) ],
+      "pc 0: jump target 5 out of range" );
+    ( "vector width 0",
+      f [ Ir.Vsplat (Ir.Fk64, 0, 1, Ir.Kf 1.0); Ir.Ret None ],
+      "pc 0: bad vector width 0" );
+    ( "vector width 17",
+      f [ Ir.Vload (Ir.Fk32, 17, 1, Ir.R 0); Ir.Ret None ],
+      "pc 0: bad vector width 17" );
+    ( "vextract lane 16",
+      f [ Ir.Vextract (1, Ir.R 0, 16); Ir.Ret None ],
+      "pc 0: bad vector lane 16" );
+    ( "call target",
+      f [ Ir.Call (None, 2, []); Ir.Ret None ],
+      "pc 0: call target 2 out of range" );
+    ( "import",
+      f [ Ir.Ccall (None, 1, []); Ir.Ret None ],
+      "pc 0: import 1 out of range" );
+    ( "more params than registers",
+      { ret with Ir.nparams = 3; nregs = 2 },
+      "bad register counts (3 params, 2 regs)" );
+    ( "negative params",
+      { ret with Ir.nparams = -1 },
+      "bad register counts (-1 params, 4 regs)" );
+    ( "absurd frame size",
+      { ret with Ir.frame_bytes = 1 lsl 24 },
+      "implausible frame size 16777216" );
+    ( "negative frame size",
+      { ret with Ir.frame_bytes = -8 },
+      "implausible frame size -8" );
+    ("empty body", f [], "empty body");
+    ( "no terminator",
+      f [ Ir.Mov (0, Ir.Ki 0L) ],
+      "body does not end in a terminator" );
+  ]
+
+let test_validate_rejections () =
+  List.iter
+    (fun (what, fn, msg) ->
+      match Ir.validate ~nfuncs:2 ~nimports:1 fn with
+      | Ok () -> Alcotest.failf "%s: validated" what
+      | Error got -> Alcotest.(check string) what msg got)
+    validate_cases
+
+(* Every function the compiler emits for the example programs passes,
+   before and after the optimizer. *)
+let test_validate_compiled_examples () =
+  let dir = "../examples/programs" in
+  let progs =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun p -> Filename.check_suffix p ".t")
+    |> List.sort compare
+  in
+  checkb "example programs found" true (progs <> []);
+  List.iter
+    (fun prog ->
+      let path = Filename.concat dir prog in
+      let src = In_channel.with_open_bin path In_channel.input_all in
+      List.iter
+        (fun opt_level ->
+          let e =
+            Terrastd.create ~mem_bytes:(64 * 1024 * 1024) ~opt_level ()
+          in
+          let _, r = Terra.Engine.run_capture_protected e ~file:path src in
+          checkb (prog ^ " runs") true (Result.is_ok r);
+          let vm = e.Terra.Engine.ctx.Terra.Context.vm in
+          let checked = ref 0 in
+          for id = 0 to vm.Vm.nfuncs - 1 do
+            if Vm.func_defined vm id then begin
+              let fn = Vm.func vm id in
+              incr checked;
+              match
+                Ir.validate ~nfuncs:vm.Vm.nfuncs ~nimports:vm.Vm.nimports fn
+              with
+              | Ok () -> ()
+              | Error msg ->
+                  Alcotest.failf "%s at opt %d: %s: %s" prog opt_level
+                    fn.Ir.fname msg
+            end
+          done;
+          checkb (prog ^ " compiled functions") true (!checked > 0))
+        [ 0; 2 ])
+    progs
+
 let prop_cvt_int_widths =
   QCheck.Test.make ~count:200 ~name:"cvt to i8/i16/i32 wraps like C"
     QCheck.int64 (fun x ->
@@ -837,6 +954,13 @@ let () =
           Alcotest.test_case "out of memory" `Quick test_oom;
           QCheck_alcotest.to_alcotest prop_no_overlap;
           QCheck_alcotest.to_alcotest prop_malloc_free_balance;
+        ] );
+      ( "ir",
+        [
+          Alcotest.test_case "single-fault functions are rejected" `Quick
+            test_validate_rejections;
+          Alcotest.test_case "compiled example programs validate" `Quick
+            test_validate_compiled_examples;
         ] );
       ( "vm",
         [
