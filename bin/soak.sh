@@ -66,10 +66,10 @@ PY
 # ------------------------------------------------------------------
 # Parallel workers phase: the same 200-request mix through a daemon
 # running 4 worker domains over a 4-engine pool.  Responses keep
-# request order (the writer reorders by sequence number), so the same
-# per-tenant assertions hold; --tenant-inflight is raised because the
-# default in-flight budget of 1 would make a tenant's own concurrent
-# requests reject each other.
+# request order (a reorder buffer flushes by sequence number), so the
+# same per-tenant assertions hold; --tenant-inflight is raised so that a
+# tenant's back-to-back requests run concurrently instead of waiting
+# for each other under the default in-flight budget of 1.
 
 par_out=$(mktemp) cache_root=$(mktemp -d)
 trap 'rm -f "$soak_in" "$soak_out" "$par_out"; rm -rf "$cache_root"' EXIT

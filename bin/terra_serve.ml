@@ -11,8 +11,9 @@ let serve_socket server path =
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 8;
   prerr_endline ("terra_serve: listening on " ^ path);
-  (* one client at a time: the engine pool is single-threaded, and
-     serialized clients keep every supervision decision deterministic *)
+  (* one client at a time: each connection gets the whole request loop,
+     and serialized clients keep every supervision decision
+     deterministic *)
   let code = ref 0 in
   (try
      let rec accept_loop () =
@@ -147,12 +148,13 @@ let () =
       & opt (pos_int "--workers") 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "execute run requests on $(docv) worker domains; each request \
-             checks a private engine out of the pool (blocking when all \
-             $(b,--pool) engines are busy) and responses keep request \
-             order.  Composes with $(b,--durable)/$(b,--recover): the WAL \
-             moves to the response-writer domain and replay pins each \
-             request to the engine slot it originally ran on.")
+            "execute run requests on $(docv) worker domains, at most \
+             $(docv) (and at most $(b,--pool)) at once; each request \
+             checks a private engine out of the pool and responses keep \
+             request order.  A request waits for a free worker; it is \
+             never rejected for arriving early.  Composes with \
+             $(b,--durable)/$(b,--recover): replay pins each request to \
+             the engine slot it originally ran on.")
   in
   let recycle_after =
     Arg.(
@@ -231,8 +233,10 @@ let () =
       & opt (pos_int "--tenant-inflight") 1
       & info [ "tenant-inflight" ] ~docv:"N"
           ~doc:
-            "in-flight request budget per tenant.  Durable parallel \
-             sessions ($(b,--durable) with $(b,--workers) > 1) require 1: \
+            "in-flight request budget per tenant: caps how many of a \
+             tenant's requests run at once; a request waits for room \
+             rather than being rejected.  Durable parallel sessions \
+             ($(b,--durable) with $(b,--workers) > 1) require 1: \
              same-tenant order must be deterministic for replay.")
   in
   let retries =

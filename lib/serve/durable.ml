@@ -212,11 +212,10 @@ let write_checkpoint t ~(state : unit -> string) =
   did_event t
 
 (** Commit a journaled request: outcome, serving slot, and that slot's
-    post-request engine fingerprint.  Returns [true] when the barrier
-    interval has been reached — the caller decides when to actually take
-    the checkpoint, because under [--workers N] the server must first
-    quiesce in-flight requests so the snapshot is consistent. *)
-let commit_request t ~seq ~outcome ~slot ~fp : bool =
+    post-request engine fingerprint.  The caller decides when to take
+    the checkpoint ({!barrier_due}), because with requests in flight the
+    server must first quiesce them so the snapshot is consistent. *)
+let commit_request t ~seq ~outcome ~slot ~fp =
   append t
     ~on_durable:(fun () -> t.committed <- seq)
     [
@@ -225,14 +224,20 @@ let commit_request t ~seq ~outcome ~slot ~fp : bool =
       ("outcome", Json.Str outcome);
       ("slot", match slot with Some i -> Json.Int i | None -> Json.Null);
       ("fp", match fp with Some s -> Json.Str s | None -> Json.Null);
-    ];
-  t.committed - t.barrier >= t.cfg.interval
+    ]
+
+(** Whether the requests journaled since the last barrier fill the
+    interval.  A server with requests in flight checks this at dispatch
+    and quiesces before {!write_checkpoint}, so once every begun request
+    has committed the barrier lands on the same seq as {!end_request}'s. *)
+let barrier_due t = t.seq - t.barrier >= t.cfg.interval
 
 (** Commit and, when the interval is reached, checkpoint immediately —
     the single-threaded composition, where between-requests is always a
     consistent point. *)
 let end_request t ~seq ~outcome ~slot ~fp ~(state : unit -> string) =
-  if commit_request t ~seq ~outcome ~slot ~fp then write_checkpoint t ~state
+  commit_request t ~seq ~outcome ~slot ~fp;
+  if barrier_due t then write_checkpoint t ~state
 
 (* ------------------------------------------------------------------ *)
 (* Session creation *)
@@ -340,14 +345,13 @@ let str_field kvs k =
    discarded (uncommitted) begins, and the first anomaly as a torn
    tail.  Nothing after an anomaly is trusted.
 
-   Under --workers N up to pool-size+1 requests are journaled before the
-   earliest commits, so several begin records may be open at once; ends
-   still land in sequence order because the writer domain appends them
-   in response order.  The scanner therefore keeps a pending map rather
-   than a single open slot, and enforces only what the writer
-   guarantees: no duplicate open begins, no begin reusing a committed
-   seq, strictly increasing end seqs, every end matching an open
-   begin. *)
+   Under --workers N several requests are journaled before the earliest
+   commits, so several begin records may be open at once; ends still
+   land in sequence order because the server appends them in response
+   order.  The scanner therefore keeps a pending map rather than a
+   single open slot, and enforces only what the server guarantees: no
+   duplicate open begins, no begin reusing a committed seq, strictly
+   increasing end seqs, every end matching an open begin. *)
 let scan_wals files : committed_entry list * int * torn option =
   let entries = ref [] in
   let pending : (int, input * int option * admission) Hashtbl.t =

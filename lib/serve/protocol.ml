@@ -163,20 +163,7 @@ let no_engine_extra =
 let error_json ?(status = "error") ?(tenant = Batch.default_tenant)
     ?(file = "-") ?(extra = []) (d : Diag.t) : Json.t =
   entry_json
-    {
-      Batch.e_file = file;
-      e_status = status;
-      e_code = Some d.Diag.code;
-      e_message = Some d.Diag.message;
-      e_attempts = 0;
-      e_retries = 0;
-      e_backoff = 0;
-      e_fuel = 0;
-      e_fallback = false;
-      e_divergence = None;
-      e_output = "";
-      e_tenant = tenant;
-    }
+    { (Batch.error_entry ~file ~tenant d) with e_status = status }
     ~extra
 
 (** The exit code a one-shot [terra_run] would report for this result:

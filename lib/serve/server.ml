@@ -1,11 +1,11 @@
-(** The terra_serve core: a single-threaded request loop composing the
-    pool, the tenant table, and the supervision stack into a daemon that
-    survives arbitrary tenant misbehavior.
+(** The terra_serve core: one request loop composing the pool, the
+    tenant table, and the supervision stack into a daemon that survives
+    arbitrary tenant misbehavior.
 
     Per request, in order:
 
-    + tenant admission (in-flight, fuel, memory budgets) — rejection is
-      a [serve.rejected] response and costs no engine time;
+    + tenant admission (fuel and memory budgets) — rejection is a
+      [serve.rejected] response and costs no engine time;
     + checkout of a warm engine; a fresh observation slice on it
       ([Engine.reset_scope ~slice:true]: per-request Tprof attribution,
       re-armed leak check);
@@ -22,9 +22,9 @@
     + tenant settlement and pool checkin (wear-based recycling).
 
     The loop drains gracefully on [{"op":"shutdown"}], end of input, or
-    SIGINT (with [Sys.catch_break true]): in-flight work finishes, every
-    pooled engine takes a final leak check, and the process exits 0 iff
-    the pool is clean. *)
+    SIGINT/SIGTERM (with [Sys.catch_break true]): requests already
+    dispatched finish and are answered, every pooled engine takes a
+    final leak check, and the process exits 0 iff the pool is clean. *)
 
 module Json = Tprof.Json
 module Diag = Terra.Diag
@@ -34,9 +34,9 @@ module Batch = Supervise.Batch
 type config = {
   pool_size : int;
   workers : int;
-      (** request-executing domains; 1 = the classic single-threaded
-          loop, N > 1 dispatches runs onto a {!Tpool.Pool} (responses
-          still come back in request order) *)
+      (** request-executing domains: run requests execute on a
+          {!Tpool.Pool} of this size, at most this many at once
+          (responses still come back in request order) *)
   recycle_after : int;  (** wear limit per engine *)
   verify_rollback : bool;  (** fingerprint-check every failed request *)
   checked : bool;  (** TerraSan checked engines *)
@@ -74,8 +74,8 @@ type t = {
   pool : Pool.t;
   tenants : Tenant.table;
   lock : Mutex.t;
-      (** guards [served] and serializes WAL appends; the pool and the
-          tenant table carry their own locks *)
+      (** guards [served] and serializes every journal access; the pool
+          and the tenant table carry their own locks *)
   mutable served : int;  (** run requests answered (incl. rejections) *)
   mutable draining : bool;
   mutable journal : Durable.t option;  (** WAL, when running --durable *)
@@ -83,8 +83,9 @@ type t = {
   mutable replay_pin : int option * Durable.admission;
       (** slot + admission the WAL pinned for the entry being replayed *)
   mutable crashed : int option;
-      (** set by the writer domain when [crash_at] fires there; the
-          dispatcher re-raises {!Durable.Crashed} on the main domain *)
+      (** set when [crash_at] fires, on whichever domain appended; the
+          journal is frozen from then on and the request loop re-raises
+          {!Durable.Crashed} on the main domain *)
 }
 
 let bump_served t =
@@ -158,9 +159,8 @@ type prepared =
 
 (* Admission + source resolution.  This is the request-order half of a
    run request: it moves [served] and books the tenant's admission, so
-   under --workers N it runs on the dispatch thread, in request order —
-   the WAL records its outcome and replay imposes it verbatim (live
-   admission under concurrency depends on scheduling). *)
+   the request loop runs it on the dispatcher, in request order.  The
+   WAL records its outcome and replay imposes it verbatim. *)
 let prepare_run (t : t) (r : Protocol.run_req) : prepared =
   bump_served t;
   let tenant_name =
@@ -371,9 +371,9 @@ let execute_admitted (t : t) (r : Protocol.run_req) (a : admitted)
           in
           (resp, !fp_end)
 
-(* One run request end to end, single-threaded.  [begun] fires once the
-   admission decision and any slot assignment are known, before engine
-   time — it is the WAL's write-ahead hook. *)
+(* One run request end to end, on the calling domain.  [begun] fires
+   once the admission decision and any slot assignment are known,
+   before engine time — it is the WAL's write-ahead hook. *)
 let handle_run ?(begun = fun ~slot:_ ~adm:_ -> ()) (t : t)
     (r : Protocol.run_req) : Json.t * string option =
   match prepare_run t r with
@@ -508,28 +508,34 @@ let outcome_of (resp : Json.t) =
 
 let slot_of (resp : Json.t) = Json.to_int_opt (Json.member "engine" resp)
 
-(* Single-threaded journaling: appends run under [t.lock] on the request
-   thread.  (Under --workers N the WAL has a dedicated writer domain
-   instead — see run_channels_par — and these helpers see no journal
-   because the dispatcher owns it.) *)
-let journal_begin t input ~slot ~adm =
+(* Every journal access runs under [t.lock], from whichever domain
+   makes it.  A simulated crash ([crash_at]) is parked in [t.crashed]
+   and freezes the journal: every later access re-raises it, so nothing
+   more reaches the disk — exactly what a kill -9 at that event leaves. *)
+let with_journal t ~none f =
   match t.journal with
   | Some j when not t.replaying ->
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () -> Durable.begin_request ?slot ~adm j input)
-  | _ -> 0
+      Mutex.protect t.lock (fun () ->
+          match t.crashed with
+          | Some n -> raise (Durable.Crashed n)
+          | None -> (
+              try f j
+              with Durable.Crashed n as e ->
+                t.crashed <- Some n;
+                raise e))
+  | _ -> none
 
+let journal_begin t input ~slot ~adm =
+  with_journal t ~none:0 (fun j -> Durable.begin_request ?slot ~adm j input)
+
+(* Commit and, at the barrier interval, checkpoint: the one-request-at-
+   a-time composition {!handle} uses, where between requests is always
+   a consistent point. *)
 let journal_end t ~seq ~(resp : Json.t) ~fp =
-  match t.journal with
-  | Some j when not t.replaying ->
-      Mutex.lock t.lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+  with_journal t ~none:() (fun j ->
       Durable.end_request j ~seq ~outcome:(outcome_of resp)
         ~slot:(slot_of resp) ~fp
-        ~state:(fun () -> persist t)
-  | _ -> ()
+        ~state:(fun () -> persist t))
 
 (* ------------------------------------------------------------------ *)
 (* The request loop *)
@@ -791,321 +797,225 @@ let read_request ic ~max_bytes : [ `Line of string | `Oversize of int | `Eof ]
   in
   go 0
 
-(** The classic single-threaded loop. *)
-let run_channels_seq (t : t) (ic : in_channel) (oc : out_channel) : int =
-  let reply j =
-    output_string oc (Json.to_string j);
-    output_char oc '\n';
-    flush oc
-  in
-  let rec loop () =
-    match read_request ic ~max_bytes:t.cfg.max_line_bytes with
-    | exception Sys.Break -> "signal"
-    | `Eof -> "eof"
-    | `Oversize len ->
-        reply (handle_oversize t len);
-        loop ()
-    | `Line line -> (
-        match handle t line with
-        | None -> loop ()
-        | Some (resp, `Continue) ->
-            reply resp;
-            loop ()
-        | Some (_, `Shutdown) -> "shutdown")
-  in
-  let reason = loop () in
-  let resp, code = drain t ~reason in
-  reply resp;
-  (match t.journal with Some j -> Durable.close j | None -> ());
-  code
+(* SIGINT and SIGTERM, which terra_serve turns into [Sys.Break], stay
+   blocked on the dispatcher except inside [interruptible]: a signal
+   that arrives while the dispatcher is working stays pending until its
+   next blocking point, so a [Sys.Break] never lands halfway through
+   admitting, journaling or dispatching a request. *)
+let break_signals = [ Sys.sigint; Sys.sigterm ]
 
-(* What flows to the writer domain.  [Begun] and [Done] carry the
-   dispatcher-assigned response sequence number; [Begun i] always
-   precedes [Done i] in the channel, so the writer journals every begin
-   in request order before the matching commit can arrive. *)
-type wire =
-  | Begun of int * Durable.input * int option * Durable.admission
-      (** journal a begin record for response [i]: input, slot pin,
-          admission pin *)
-  | Done of int * Json.t * string option * bool
-      (** response [i] finished: payload, post-checkin fingerprint,
-          whether a begin was journaled for it *)
-  | Barrier of [ `Sync | `Checkpoint ]
-      (** the dispatcher is quiesced and gate-blocked: flush everything
-          queued before this message, optionally checkpoint, then
-          release the gate *)
+let sigmask how =
+  try Unix.sigprocmask how break_signals with Invalid_argument _ -> []
 
-(** The multi-domain loop: the main thread reads and classifies request
-    lines, run requests execute on a [workers]-domain {!Tpool.Pool}, and
-    a dedicated writer domain reorders completions so responses leave in
-    request order no matter which worker finishes first.
-
-    The writer domain also owns the WAL when the session is durable:
-    begin records are appended in dispatch order (the dispatcher sends
-    [Begun] before handing the request to a worker), end records in
-    response order (as the reorder buffer drains), so commit order
-    equals response order and durability events are numbered at a single
-    domain — [--crash-at N] is well-defined under concurrency.  The
-    dispatcher does admission, source resolution, and slot checkout
-    itself, in request order, which both gives the begin record its pin
-    and guarantees per-slot execution order equals request order — the
-    invariant that makes sequential slot-pinned replay exact.
-
-    Checkpoints happen at barriers: after the interval-th state-mutating
-    dispatch the dispatcher quiesces in-flight requests (the same
-    machinery introspection and drain use), then gate-waits for the
-    writer to drain its queue and snapshot — so every checkpoint
-    captures a consistent multi-engine state with no request half-done
-    and no begin/end pair split across WAL generations. *)
-let run_channels_par (t : t) ~workers (ic : in_channel) (oc : out_channel) :
-    int =
-  let out : wire Tpool.Chan.t = Tpool.Chan.create () in
-  let gate = Tpool.Gate.create () in
-  let durable = t.journal <> None in
-  let writer =
-    Domain.spawn (fun () ->
-        let pending : (int, Json.t * string option * bool) Hashtbl.t =
-          Hashtbl.create 32
-        in
-        let wal_seq : (int, int) Hashtbl.t = Hashtbl.create 32 in
-        let next = ref 0 in
-        let crashed = ref false in
-        let commit_and_reply i (resp, fp, journaled) =
-          (if journaled then
-             match t.journal with
-             | Some j ->
-                 let seq = Option.value (Hashtbl.find_opt wal_seq i) ~default:0 in
-                 Hashtbl.remove wal_seq i;
-                 (* the interval check is the dispatcher's job (it must
-                    quiesce first), so the writer only commits here *)
-                 ignore
-                   (Durable.commit_request j ~seq ~outcome:(outcome_of resp)
-                      ~slot:(slot_of resp) ~fp)
-             | None -> ());
-          output_string oc (Json.to_string resp);
-          output_char oc '\n';
-          flush oc
-        in
-        let rec flush_ready () =
-          match Hashtbl.find_opt pending !next with
-          | Some c ->
-              Hashtbl.remove pending !next;
-              commit_and_reply !next c;
-              incr next;
-              flush_ready ()
-          | None -> ()
-        in
-        let handle_msg = function
-          | Begun (i, input, slot, adm) -> (
-              match t.journal with
-              | Some j ->
-                  Hashtbl.replace wal_seq i
-                    (Durable.begin_request ?slot ~adm j input)
-              | None -> ())
-          | Done (i, resp, fp, journaled) ->
-              Hashtbl.replace pending i (resp, fp, journaled);
-              flush_ready ()
-          | Barrier kind ->
-              (match (kind, t.journal) with
-              | `Checkpoint, Some j ->
-                  Durable.write_checkpoint j ~state:(fun () -> persist t)
-              | _ -> ());
-              Tpool.Gate.release gate
-        in
-        let rec loop () =
-          match Tpool.Chan.recv out with
-          | None -> ()
-          | Some msg ->
-              (* After a simulated crash nothing more reaches the disk
-                 or the client — the on-disk state is frozen exactly at
-                 event N-1, as a real kill -9 would leave it — but
-                 barriers still release their gate so the dispatcher can
-                 unwind and re-raise on the main domain. *)
-              (if !crashed then
-                 match msg with
-                 | Barrier _ -> Tpool.Gate.release gate
-                 | Begun _ | Done _ -> ()
-               else
-                 try handle_msg msg
-                 with Durable.Crashed n ->
-                   crashed := true;
-                   t.crashed <- Some n;
-                   (match msg with
-                   | Barrier _ -> Tpool.Gate.release gate
-                   | _ -> ()));
-              loop ()
-        in
-        loop ())
-  in
-  let seq = ref 0 in
-  let next_seq () =
-    let i = !seq in
-    incr seq;
-    i
-  in
-  let m = Mutex.create () in
-  let idle = Condition.create () in
-  let inflight = ref 0 in
-  let quiesce () =
-    Mutex.lock m;
-    while !inflight > 0 do
-      Condition.wait idle m
-    done;
-    Mutex.unlock m
-  in
-  (* Quiesce the workers, then drain the writer: when this returns,
-     every prior request has executed, committed, and been emitted, and
-     no engine is running.  The gate's mutex is also the happens-before
-     edge that makes journal and pool state written by the writer domain
-     safe to read here. *)
-  let sync kind =
-    quiesce ();
-    let tk = Tpool.Gate.ticket gate in
-    Tpool.Chan.send out (Barrier kind);
-    Tpool.Gate.await gate tk
-  in
-  let interval =
-    match t.journal with
-    | Some j -> j.Durable.cfg.Durable.interval
-    | None -> max_int
-  in
-  let since_barrier = ref 0 in
-  (* Count a state-mutating dispatch; at the interval boundary, take the
-     checkpoint barrier.  The quiesce inside [sync] waits for the
-     just-dispatched request too, so the snapshot covers exactly the
-     same committed prefix the single-threaded server would have. *)
-  let mutated () =
-    if durable && t.crashed = None then begin
-      incr since_barrier;
-      if !since_barrier >= interval then begin
-        sync `Checkpoint;
-        since_barrier := 0
-      end
-    end
-  in
-  let reason =
-    Tpool.Pool.with_pool ~domains:workers (fun pool ->
-        let send_done i resp fp journaled =
-          Tpool.Chan.send out (Done (i, resp, fp, journaled))
-        in
-        (* a mutating request that never reaches a worker: journal its
-           begin (pin-less) and complete it in one breath *)
-        let complete_inline i input resp =
-          if durable then Tpool.Chan.send out (Begun (i, input, None, Durable.Unrecorded));
-          send_done i resp None durable;
-          mutated ()
-        in
-        let dispatch_run r line =
-          let i = next_seq () in
-          match prepare_run t r with
-          | Rejected resp ->
-              if durable then
-                Tpool.Chan.send out
-                  (Begun (i, Durable.Line line, None, Durable.Rejected));
-              send_done i resp None durable;
-              mutated ()
-          | No_source (resp, grant) ->
-              if durable then
-                Tpool.Chan.send out
-                  (Begun (i, Durable.Line line, None, Durable.Granted grant));
-              send_done i resp None durable;
-              mutated ()
-          | Admitted a ->
-              (* checkout on the dispatch thread: per-slot execution
-                 order = request order, and the begin record gets its
-                 slot pin before the worker starts *)
-              let slot = Pool.checkout t.pool in
-              if durable then
-                Tpool.Chan.send out
-                  (Begun
-                     ( i,
-                       Durable.Line line,
-                       Some slot.Pool.id,
-                       Durable.Granted a.ad_grant ));
-              Mutex.lock m;
-              incr inflight;
-              Mutex.unlock m;
-              Tpool.Pool.run pool (fun _w ->
-                  let resp, fp =
-                    try execute_admitted t r a slot
-                    with e ->
-                      (* the slot must come back even on an internal
-                         error; its engine is no longer trusted *)
-                      Pool.checkin t.pool slot ~anomaly:(Some Pool.Fingerprint);
-                      ( Protocol.error_json ~extra:Protocol.no_engine_extra
-                          (Diag.make ~phase:Diag.Run ~code:"serve.internal"
-                             (Printexc.to_string e)),
-                        None )
-                  in
-                  send_done i resp fp durable;
-                  Mutex.lock m;
-                  decr inflight;
-                  if !inflight = 0 then Condition.broadcast idle;
-                  Mutex.unlock m);
-              mutated ()
-        in
-        let emit j = send_done (next_seq ()) j None false in
-        let rec loop () =
-          if t.crashed <> None then "crashed"
-          else
-            match read_request ic ~max_bytes:t.cfg.max_line_bytes with
-            | exception Sys.Break -> "signal"
-            | `Eof -> "eof"
-            | `Oversize len ->
-                bump_served t;
-                complete_inline (next_seq ()) (Durable.Oversize len)
-                  (oversize_resp t len);
-                loop ()
-            | `Line line -> (
-                match Protocol.parse line with
-                | Ok None -> loop ()
-                | Ok (Some Protocol.Status) ->
-                    sync `Sync;
-                    emit (status_json t);
-                    loop ()
-                | Ok (Some Protocol.Profile) ->
-                    sync `Sync;
-                    emit (profile_json t);
-                    loop ()
-                | Ok (Some Protocol.Breakers) ->
-                    sync `Sync;
-                    emit (breakers_json t);
-                    loop ()
-                | Ok (Some Protocol.Shutdown) -> "shutdown"
-                | Ok (Some (Protocol.Run r)) ->
-                    dispatch_run r line;
-                    loop ()
-                | Error d ->
-                    bump_served t;
-                    complete_inline (next_seq ()) (Durable.Line line)
-                      (Protocol.error_json ~extra:Protocol.no_engine_extra d);
-                    loop ())
-        in
-        let reason = loop () in
-        quiesce ();
-        reason)
-  in
-  match t.crashed with
-  | Some n ->
-      (* unwind without draining: the journal is frozen at the crash
-         point; re-raise where the single-threaded path would have *)
-      Tpool.Chan.close out;
-      Domain.join writer;
-      raise (Durable.Crashed n)
-  | None ->
-      let resp, code = drain t ~reason in
-      Tpool.Chan.send out (Done (next_seq (), resp, None, false));
-      Tpool.Chan.close out;
-      Domain.join writer;
-      (match t.journal with Some j -> Durable.close j | None -> ());
-      code
+let interruptible f =
+  Fun.protect
+    ~finally:(fun () -> ignore (sigmask Unix.SIG_BLOCK))
+    (fun () ->
+      ignore (sigmask Unix.SIG_UNBLOCK);
+      f ())
 
 (** Serve line-delimited requests from [ic] to [oc] until shutdown, end
     of input, or [Sys.Break] (SIGINT/SIGTERM routed through
     [Sys.catch_break]-style handlers); every exit path drains
-    gracefully.  Returns the process exit code.  [config.workers] > 1
-    selects the multi-domain loop; durable sessions compose with it —
-    the WAL moves to the writer domain and replay pins slots. *)
+    gracefully.  Returns the process exit code.
+
+    One loop for every worker count.  The main domain is the
+    dispatcher: it reads and classifies lines and does, in request
+    order, everything replay must reproduce — admission, source
+    resolution, slot checkout, the WAL [begin] record — then hands each
+    run to a {!Tpool.Pool} of [workers] domains (at most one per pool
+    slot).  Admission is a deterministic rule: a state-mutating line
+    waits until fewer than that many runs are in flight, and a run also
+    waits until its tenant has fewer than [max_inflight] in flight.  It
+    waits; it is never rejected for arriving early.  With one worker
+    this is one-request-at-a-time service: the same responses and the
+    same durability events, in the same order, as {!handle} line by
+    line.
+
+    Finished responses wait in a reorder buffer.  Whichever domain
+    completes the next response in sequence flushes the buffer: it
+    appends each response's WAL [end] record, so commit order is
+    response order, then writes the line.  After every [interval]
+    mutating dispatches the dispatcher quiesces and checkpoints, so a
+    checkpoint captures a consistent multi-engine state with no request
+    half-done and no begin/end pair split across WAL generations.
+
+    Every blocking point — reading input, the admission wait, quiesce —
+    is on the main domain.  Pool workers block SIGINT/SIGTERM and the
+    dispatcher unblocks them only at those points, so a [Sys.Break]
+    lands at one of them and becomes the graceful drain: runs already
+    dispatched finish and are answered first. *)
 let run_channels (t : t) (ic : in_channel) (oc : out_channel) : int =
-  if t.cfg.workers > 1 then run_channels_par t ~workers:t.cfg.workers ic oc
-  else run_channels_seq t ic oc
+  (* only in-flight runs hold slots, so with at most one worker per
+     slot the dispatcher's checkout never blocks *)
+  let bound = min t.cfg.workers (Pool.size t.pool) in
+  let m = Mutex.create () in
+  let changed = Condition.create () in
+  let inflight = ref 0 in
+  (* response number -> payload, the WAL seq of its begin record (0:
+     not journaled) and its post-checkin fingerprint; guarded by [m]
+     like [inflight] *)
+  let buffer : (int, Json.t * int * string option) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let next_in = ref 0 and next_out = ref 0 in
+  let rec flush_ready () =
+    match Hashtbl.find_opt buffer !next_out with
+    | None -> ()
+    | Some (resp, seq, fp) ->
+        Hashtbl.remove buffer !next_out;
+        incr next_out;
+        (* a crash here is parked in [t.crashed]; the dispatcher
+           re-raises it *)
+        (if seq > 0 then
+           try
+             with_journal t ~none:() (fun j ->
+                 Durable.commit_request j ~seq ~outcome:(outcome_of resp)
+                   ~slot:(slot_of resp) ~fp)
+           with Durable.Crashed _ -> ());
+        if t.crashed = None then begin
+          output_string oc (Json.to_string resp);
+          output_char oc '\n';
+          flush oc
+        end;
+        flush_ready ()
+  in
+  let deliver ?(ran = false) ?(seq = 0) ?fp i resp =
+    Mutex.protect m (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            if ran then begin
+              decr inflight;
+              Condition.broadcast changed
+            end)
+          (fun () ->
+            Hashtbl.replace buffer i (resp, seq, fp);
+            flush_ready ()))
+  in
+  let wait_until ready =
+    interruptible (fun () ->
+        Mutex.protect m (fun () ->
+            while t.crashed = None && not (ready ()) do
+              Condition.wait changed m
+            done));
+    Option.iter (fun n -> raise (Durable.Crashed n)) t.crashed
+  in
+  (* when this returns every dispatched request has executed, committed
+     and been answered, and no engine is running *)
+  let quiesce () = wait_until (fun () -> !inflight = 0) in
+  let has_worker () = !inflight < bound in
+  let next () =
+    let i = !next_in in
+    incr next_in;
+    i
+  in
+  (* After a state-mutating dispatch: at the interval boundary, quiesce
+     (which waits for the just-dispatched request too) and checkpoint,
+     so the barrier lands on the same committed seq as under {!handle}. *)
+  let mutated () =
+    match t.journal with
+    | Some j when Durable.barrier_due j ->
+        quiesce ();
+        with_journal t ~none:() (fun j ->
+            Durable.write_checkpoint j ~state:(fun () -> persist t))
+    | _ -> ()
+  in
+  (* a state-mutating line answered without engine time *)
+  let answer input ~adm resp =
+    let i = next () in
+    let seq = journal_begin t input ~slot:None ~adm in
+    deliver ~seq i resp;
+    mutated ()
+  in
+  (* an unparsable or oversized line: mutating, since it moves [served] *)
+  let refuse input resp =
+    wait_until has_worker;
+    bump_served t;
+    answer input ~adm:Durable.Unrecorded resp
+  in
+  let dispatch_run pool line (r : Protocol.run_req) =
+    let tenant =
+      Tenant.find t.tenants
+        (Option.value r.Protocol.r_tenant ~default:Batch.default_tenant)
+    in
+    wait_until (fun () -> has_worker () && not (Tenant.at_capacity tenant));
+    match prepare_run t r with
+    | Rejected resp -> answer (Durable.Line line) ~adm:Durable.Rejected resp
+    | No_source (resp, grant) ->
+        answer (Durable.Line line) ~adm:(Durable.Granted grant) resp
+    | Admitted a ->
+        let i = next () in
+        let slot = checkout_for_run t in
+        let seq =
+          journal_begin t (Durable.Line line) ~slot:(Some slot.Pool.id)
+            ~adm:(Durable.Granted a.ad_grant)
+        in
+        Mutex.protect m (fun () -> incr inflight);
+        Tpool.Pool.run pool (fun _ ->
+            let resp, fp =
+              try execute_admitted t r a slot
+              with e ->
+                (* the slot and the tenant's in-flight count must come
+                   back even on an internal error; the engine is no
+                   longer trusted *)
+                Pool.checkin t.pool slot ~anomaly:(Some Pool.Fingerprint);
+                Tenant.settle a.ad_tenant ~fuel:0 ~mem_delta:0 ~leaked:0
+                  ~ok:false;
+                ( Protocol.error_json ~extra:Protocol.no_engine_extra
+                    (Diag.make ~phase:Diag.Run ~code:"serve.internal"
+                       (Printexc.to_string e)),
+                  None )
+            in
+            deliver ~ran:true ~seq ?fp i resp);
+        mutated ()
+  in
+  let rec loop pool =
+    match
+      interruptible (fun () ->
+          read_request ic ~max_bytes:t.cfg.max_line_bytes)
+    with
+    | `Eof -> "eof"
+    | `Oversize len ->
+        refuse (Durable.Oversize len) (oversize_resp t len);
+        loop pool
+    | `Line line -> (
+        let introspect f =
+          quiesce ();
+          deliver (next ()) (f t);
+          loop pool
+        in
+        match Protocol.parse line with
+        | Ok None -> loop pool
+        | Ok (Some Protocol.Status) -> introspect status_json
+        | Ok (Some Protocol.Profile) -> introspect profile_json
+        | Ok (Some Protocol.Breakers) -> introspect breakers_json
+        | Ok (Some Protocol.Shutdown) -> "shutdown"
+        | Ok (Some (Protocol.Run r)) ->
+            dispatch_run pool line r;
+            loop pool
+        | Error d ->
+            refuse (Durable.Line line)
+              (Protocol.error_json ~extra:Protocol.no_engine_extra d);
+            loop pool)
+  in
+  let mask = sigmask Unix.SIG_BLOCK in
+  let serve () =
+    let reason =
+      Tpool.Pool.with_pool ~domains:bound (fun pool ->
+          let reason = try loop pool with Sys.Break -> "signal" in
+          (* a second signal does not cut the drain short *)
+          let rec settle () = try quiesce () with Sys.Break -> settle () in
+          settle ();
+          reason)
+    in
+    let resp, code = drain t ~reason in
+    deliver (next ()) resp;
+    Option.iter Durable.close t.journal;
+    code
+  in
+  (* a signal that arrives once the drain is under way is moot *)
+  let restore () =
+    try ignore (Unix.sigprocmask Unix.SIG_SETMASK mask) with
+    | Invalid_argument _ | Sys.Break -> ()
+  in
+  Fun.protect ~finally:restore serve

@@ -151,6 +151,15 @@ let admit (t : t) ~req_fuel : (int, Diag.t) result =
         Ok (min asked remaining)
       end
 
+(** Whether the in-flight budget is used up by requests still running.
+    The serve loop waits while this holds before it calls {!admit}, so
+    the budget caps a tenant's concurrency rather than rejecting its
+    requests.  With nothing in flight there is nothing to wait for: a
+    zero budget is still {!admit}'s rejection. *)
+let at_capacity (t : t) =
+  with_lock t.lock (fun () ->
+      t.inflight > 0 && t.inflight >= t.budget.max_inflight)
+
 (** Replay support: impose a journaled admission instead of recomputing
     it.  Under [--workers N] the live decision depended on scheduling
     (which siblings were still in flight, which settlements had landed),

@@ -151,6 +151,24 @@ let default_tenant = "default"
 
 let tenant_of req = Option.value req.req_tenant ~default:default_tenant
 
+(** The row for a request that failed before any engine time: a bad
+    manifest, an unreadable script, a refused serve request. *)
+let error_entry ~file ~tenant (d : Terra.Diag.t) : entry =
+  {
+    e_file = file;
+    e_status = "error";
+    e_code = Some d.Terra.Diag.code;
+    e_message = Some d.Terra.Diag.message;
+    e_attempts = 0;
+    e_retries = 0;
+    e_backoff = 0;
+    e_fuel = 0;
+    e_fallback = false;
+    e_divergence = None;
+    e_output = "";
+    e_tenant = tenant;
+  }
+
 (** Run [reqs] in order against [eng], each under the supervisor.  All
     requests share one circuit breaker (from [config], or a fresh one);
     untenanted requests break per-script (key = file) as before, while a
@@ -162,20 +180,8 @@ let run_one ~(config : Supervisor.config) ~breaker (eng : Terra.Engine.t)
   let file = req.req_file in
   match read_file file with
   | exception Sys_error msg ->
-      {
-        e_file = file;
-        e_status = "error";
-        e_code = Some "batch.io";
-        e_message = Some msg;
-        e_attempts = 0;
-        e_retries = 0;
-        e_backoff = 0;
-        e_fuel = 0;
-        e_fallback = false;
-        e_divergence = None;
-        e_output = "";
-        e_tenant = tenant_of req;
-      }
+      error_entry ~file ~tenant:(tenant_of req)
+        (Terra.Diag.make ~phase:Terra.Diag.Eval ~code:"batch.io" msg)
   | src ->
       let cfg =
         {
@@ -303,34 +309,19 @@ let to_json ?profile entries =
 (** Did every request succeed? *)
 let all_ok entries = List.for_all (fun e -> e.e_status = "ok") entries
 
+(* Parse a manifest and run its requests; a malformed manifest is a
+   single [batch.bad-manifest] error row, not an exception. *)
+let manifest_entries manifest_path run =
+  match parse_manifest manifest_path with
+  | Ok reqs -> run reqs
+  | Error d -> [ error_entry ~file:manifest_path ~tenant:default_tenant d ]
+
 (** Run a manifest end to end: parse, execute against [eng], render.
     The report carries the engine's profile when its probe has profiling
     on.  Returns the JSON report and the suggested exit code (0 if every
-    request succeeded, 1 otherwise).  A malformed manifest produces a
-    report with a single [batch.bad-manifest] error row, not an
-    exception. *)
+    request succeeded, 1 otherwise). *)
 let run_manifest ?config eng manifest_path : string * int =
-  let entries =
-    match parse_manifest manifest_path with
-    | Ok reqs -> run_requests ?config eng reqs
-    | Error d ->
-        [
-          {
-            e_file = manifest_path;
-            e_status = "error";
-            e_code = Some d.Terra.Diag.code;
-            e_message = Some d.Terra.Diag.message;
-            e_attempts = 0;
-            e_retries = 0;
-            e_backoff = 0;
-            e_fuel = 0;
-            e_fallback = false;
-            e_divergence = None;
-            e_output = "";
-            e_tenant = default_tenant;
-          };
-        ]
-  in
+  let entries = manifest_entries manifest_path (run_requests ?config eng) in
   let probe = Terra.Context.probe eng.Terra.Engine.ctx in
   let profile =
     if probe.Tprof.Probe.on then Some (Terra.Engine.profile_json eng) else None
@@ -344,24 +335,7 @@ let run_manifest ?config eng manifest_path : string * int =
 let run_manifest_par ?config ~jobs ~make_engine manifest_path : string * int
     =
   let entries =
-    match parse_manifest manifest_path with
-    | Ok reqs -> run_requests_par ?config ~jobs ~make_engine reqs
-    | Error d ->
-        [
-          {
-            e_file = manifest_path;
-            e_status = "error";
-            e_code = Some d.Terra.Diag.code;
-            e_message = Some d.Terra.Diag.message;
-            e_attempts = 0;
-            e_retries = 0;
-            e_backoff = 0;
-            e_fuel = 0;
-            e_fallback = false;
-            e_divergence = None;
-            e_output = "";
-            e_tenant = default_tenant;
-          };
-        ]
+    manifest_entries manifest_path
+      (run_requests_par ?config ~jobs ~make_engine)
   in
   (to_json entries, if all_ok entries then 0 else 1)

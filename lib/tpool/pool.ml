@@ -1,7 +1,7 @@
 (** A fixed-size domain pool: a hand-rolled work queue over OCaml 5
     [Domain]s with a [Mutex]/[Condition] pair (Domainslib is not a
     dependency of this tree).  Consumers are the parallel autotuner
-    search, [Supervise.Batch ~jobs], and [terra_serve --workers].
+    search, [Supervise.Batch ~jobs], and the [terra_serve] request loop.
 
     Worker identity is the key design point: every job receives the
     index of the worker domain running it (0 .. size-1), so a caller
@@ -12,7 +12,11 @@
 
     Jobs must not raise: {!map} catches and re-raises on the submitting
     domain; bare {!run} jobs that raise are dropped after noting the
-    failure on stderr (a worker must never die, or the pool deadlocks). *)
+    failure on stderr (a worker must never die, or the pool deadlocks).
+
+    Workers block SIGINT and SIGTERM, so the [Sys.Break] that
+    [Sys.catch_break] turns them into is raised on the submitting
+    domain, which can act on it, and never aborts a running job. *)
 
 type t = {
   size : int;
@@ -40,6 +44,10 @@ let rec worker_loop t i =
     worker_loop t i
   end
 
+let block_signals () =
+  try ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ])
+  with Invalid_argument _ -> ()
+
 let create ~domains () =
   if domains < 1 then invalid_arg "Pool.create: need at least one domain";
   let t =
@@ -53,7 +61,10 @@ let create ~domains () =
     }
   in
   t.domains <-
-    List.init domains (fun i -> Domain.spawn (fun () -> worker_loop t i));
+    List.init domains (fun i ->
+        Domain.spawn (fun () ->
+            block_signals ();
+            worker_loop t i));
   t
 
 (** Submit a fire-and-forget job.  The job runs on some worker domain

@@ -16,38 +16,6 @@ let checkb = Alcotest.(check bool)
 
 let tpool_tests =
   [
-    quick "chan: fifo order, close semantics" (fun () ->
-        let c = Tpool.Chan.create () in
-        for i = 1 to 10 do
-          Tpool.Chan.send c i
-        done;
-        for i = 1 to 10 do
-          checki "fifo" i (Option.get (Tpool.Chan.recv c))
-        done;
-        Tpool.Chan.close c;
-        checkb "drained channel yields None" true (Tpool.Chan.recv c = None);
-        checkb "send after close raises" true
-          (match Tpool.Chan.send c 11 with
-          | exception Invalid_argument _ -> true
-          | () -> false));
-    quick "chan: capacity bounds the queue across domains" (fun () ->
-        let c = Tpool.Chan.create ~capacity:2 () in
-        let consumer =
-          Domain.spawn (fun () ->
-              let rec go acc =
-                match Tpool.Chan.recv c with
-                | None -> List.rev acc
-                | Some v -> go (v :: acc)
-              in
-              go [])
-        in
-        for i = 1 to 50 do
-          Tpool.Chan.send c i
-        done;
-        Tpool.Chan.close c;
-        let got = Domain.join consumer in
-        checki "all delivered" 50 (List.length got);
-        checkb "in order" true (got = List.init 50 (fun i -> i + 1)));
     quick "pool: map returns results in input order" (fun () ->
         let items = Array.init 100 (fun i -> i) in
         let out =
@@ -92,63 +60,6 @@ let tpool_tests =
             (* the pool is still serviceable after the failed batch *)
             let out = Tpool.Pool.map p (fun i -> i * 2) [| 1; 2; 3 |] in
             checkb "pool survives" true (out = [| 2; 4; 6 |])));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* The barrier gate (the durable server's quiesce rendezvous) *)
-
-let gate_tests =
-  [
-    quick "gate: await blocks until the matching release" (fun () ->
-        let g = Tpool.Gate.create () in
-        let tk = Tpool.Gate.ticket g in
-        let released = Atomic.make false in
-        let d =
-          Domain.spawn (fun () ->
-              Atomic.set released true;
-              Tpool.Gate.release g)
-        in
-        Tpool.Gate.await g tk;
-        checkb "release happened before await returned" true
-          (Atomic.get released);
-        Domain.join d;
-        (* a stale ticket is already satisfied: await must not block *)
-        Tpool.Gate.await g tk);
-    quick "gate: barrier rendezvous round-trips through a channel"
-      (fun () ->
-        (* the durable server's writer-domain shape: the dispatcher
-           takes a ticket, sends a barrier message, and awaits; the
-           writer releases once everything queued before the barrier
-           has been processed.  The gate's mutex is the happens-before
-           edge that lets the dispatcher read writer-side state. *)
-        let c : int Tpool.Chan.t = Tpool.Chan.create () in
-        let g = Tpool.Gate.create () in
-        let processed = ref 0 in
-        let writer =
-          Domain.spawn (fun () ->
-              let rec loop () =
-                match Tpool.Chan.recv c with
-                | None -> ()
-                | Some -1 ->
-                    Tpool.Gate.release g;
-                    loop ()
-                | Some _ ->
-                    incr processed;
-                    loop ()
-              in
-              loop ())
-        in
-        for round = 1 to 50 do
-          for _ = 1 to 4 do
-            Tpool.Chan.send c 0
-          done;
-          let tk = Tpool.Gate.ticket g in
-          Tpool.Chan.send c (-1);
-          Tpool.Gate.await g tk;
-          checki "queue drained at the barrier" (round * 4) !processed
-        done;
-        Tpool.Chan.close c;
-        Domain.join writer);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -468,12 +379,87 @@ let ccache_tests =
             checki "warm fleet hits everything" 18 cw.Ccache.c_hits));
   ]
 
+(* The serve loop's admission contract: a run waits for a free worker
+   and for its tenant's in-flight budget, and is never rejected for
+   arriving while a sibling runs.  So one tenant's back-to-back requests
+   get the same responses, status and drain under every worker count —
+   only the serving slot may differ. *)
+let admission_tests =
+  [
+    quick "same-tenant runs answer identically at workers 1, 2 and 4"
+      (fun () ->
+        let dir = Filename.temp_file "terra-par-admission" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        let path name = Filename.concat dir name in
+        let lines =
+          List.init 8 (fun i ->
+              Json.to_string
+                (Json.Obj
+                   [
+                     ( "src",
+                       Json.Str
+                         (Printf.sprintf
+                            "terra f(n : int32) : int32 var s = 0 for i = \
+                             0, n do s = s + i %% 7 end return s end \
+                             print(f(%d))"
+                            (20000 + i)) );
+                     ("tenant", Json.Str "solo");
+                   ]))
+          @ [ {|{"op":"status"}|}; {|{"op":"shutdown"}|} ]
+        in
+        let oc = open_out (path "in.jsonl") in
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+        close_out oc;
+        let serve workers =
+          let config =
+            {
+              Server.default_config with
+              pool_size = 4;
+              workers;
+              mem_bytes = Some (16 * 1024 * 1024);
+            }
+          in
+          let out = path (Printf.sprintf "out-w%d.jsonl" workers) in
+          let ic = open_in (path "in.jsonl") and oc = open_out out in
+          let code = Server.run_channels (Server.create ~config ()) ic oc in
+          close_in ic;
+          close_out oc;
+          checki (Printf.sprintf "workers %d: clean exit" workers) 0 code;
+          let got = List.map drop_engine (read_lines out) in
+          Sys.remove out;
+          got
+        in
+        let want = serve 1 in
+        checki "eight runs, a status and the drain" 10 (List.length want);
+        List.iter
+          (fun l ->
+            checkb "no run was rejected" false
+              (Harness.contains_sub ~sub:"serve.rejected" l))
+          want;
+        List.iter
+          (fun workers ->
+            let got = serve workers in
+            checki
+              (Printf.sprintf "workers %d: response count" workers)
+              (List.length want) (List.length got);
+            List.iteri
+              (fun i (a, b) ->
+                checks
+                  (Printf.sprintf "workers %d: response %d" workers i)
+                  a b)
+              (List.combine want got))
+          [ 2; 4 ];
+        Sys.remove (path "in.jsonl");
+        Sys.rmdir dir);
+  ]
+
 let () =
   Alcotest.run "par"
     [
       ("tpool", tpool_tests);
-      ("gate", gate_tests);
       ("stress", stress_tests);
       ("pool", pool_tests);
       ("ccache", ccache_tests);
+      ("admit", admission_tests);
     ]
