@@ -560,6 +560,40 @@ print("workers-4 crash recovered to seq %d: served and tenant state "
 PY
 done
 
+echo "== durable old-format refusal =="
+# Fingerprints are page-digest roots since checkpoint format 2, so a
+# format-1 journal's recorded fingerprints cannot tie out.  Recovery
+# must refuse it at the checkpoint magic with a structured diagnostic,
+# never report it as a fingerprint mismatch.  The magic lies outside
+# the Blobio digest, so rewriting it is a plain byte edit.
+head -n 19 "$dur_in" > "$dur_root/old.in"
+printf '{"op":"shutdown"}\n' >> "$dur_root/old.in"
+timeout 300 $serve_durable --durable "$dur_root/old" < "$dur_root/old.in" \
+  > /dev/null
+python3 - "$dur_root/old" <<'PY'
+import os, sys
+d = sys.argv[1]
+ckpts = [f for f in os.listdir(d) if f.startswith("ckpt-")]
+assert ckpts, os.listdir(d)
+for f in ckpts:
+    p = os.path.join(d, f)
+    data = open(p, "rb").read()
+    assert data.startswith(b"TERRASRV2\n"), (f, data[:12])
+    open(p, "wb").write(b"TERRASRV1\n" + data[len(b"TERRASRV2\n"):])
+print("rewrote %d checkpoint(s) to format 1" % len(ckpts))
+PY
+rc=0
+printf '{"op":"shutdown"}\n' | timeout 300 $serve_durable \
+  --recover "$dur_root/old" > "$dur_out" 2> "$dur_err" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "recover.no-checkpoint" "$dur_err" \
+  || ! grep -q "bad magic" "$dur_err" \
+  || grep -q "fingerprint-mismatch" "$dur_out" "$dur_err"; then
+  echo "format-1 recovery: rc=$rc" >&2
+  cat "$dur_out" "$dur_err" >&2
+  exit 1
+fi
+echo "format-1 journal refused: exit 1, recover.no-checkpoint (bad magic)"
+
 echo "== modeled-output gate (bench rows and profiles vs BENCH_10.json) =="
 # Host-speed work must leave every modeled number bit-identical.  Rerun
 # the GEMM figures (all 28 rows: a row's cache statistics depend on the

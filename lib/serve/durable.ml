@@ -81,7 +81,10 @@ let gen_of_name f =
   in
   match num "ckpt-" "" with Some g -> Some g | None -> num "wal-" ".log"
 
-let ckpt_magic = "TERRASRV1\n"
+(* Version 2: fingerprints became page-digest roots, so the ones version
+   1 recorded (here and in the WAL) no longer tie out.  A version-1 file
+   is refused at the magic, never reported as a fingerprint mismatch. *)
+let ckpt_magic = "TERRASRV2\n"
 
 (* ------------------------------------------------------------------ *)
 (* Durability events *)

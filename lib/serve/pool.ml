@@ -169,6 +169,9 @@ let final_leak_check t =
         [] t.slots
       |> List.rev)
 
+(* Fingerprinting a slot refreshes its engine's page-digest cache, which
+   is engine state: the serve loop calls this quiesced, with every slot
+   checked in, so no worker domain is using an engine meanwhile. *)
 let status_json t =
   with_lock t @@ fun () ->
   Json.Obj

@@ -255,9 +255,11 @@ let execute_admitted (t : t) (r : Protocol.run_req) (a : admitted)
           arm_faults eng r;
           let live_before = Pool.slot_live_bytes slot in
           let mark = Terra.Engine.statics_mark eng in
-          (* fingerprints are read-only, so skipping verification during
-             recovery replay cannot diverge the replayed state — and the
-             final per-slot tie-out still catches any corruption *)
+          (* a fingerprint writes no session byte — only the engine's
+             page-digest cache, which no fingerprint value depends on —
+             so skipping verification during recovery replay cannot
+             diverge the replayed state, and the final per-slot tie-out
+             still catches any corruption *)
           let fp_before =
             if t.cfg.verify_rollback && not t.replaying then
               Some (Terra.Engine.fingerprint ~statics_upto:mark eng)

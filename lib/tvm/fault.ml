@@ -12,6 +12,10 @@ type spec =
       (** at step N, poison one heap byte: in checked mode the byte
           becomes unaddressable (the next access is a [san.oob]); in
           unchecked mode the byte is silently corrupted *)
+  | Stray_store of { step : int; addr : int }
+      (** at step N, flip one arena byte past the rollback journal: a
+          journal bug, which a rollback's fingerprint check must catch.
+          For tests only; no CLI flag or protocol field arms it *)
 
 exception Injected of spec * string
 
@@ -20,12 +24,16 @@ let code = function
   | Fail_alloc _ -> "fault.alloc"
   | Trap_at_step _ -> "fault.trap"
   | Poison_byte _ -> "fault.poison"
+  | Stray_store _ -> "fault.stray-store"
 
 let describe = function
   | Fail_alloc n -> Printf.sprintf "injected allocation failure (allocation #%d)" n
   | Trap_at_step n -> Printf.sprintf "injected trap at VM step #%d" n
   | Poison_byte { step; addr } ->
       Printf.sprintf "injected poison of byte %#x at VM step #%d" addr step
+  | Stray_store { step; addr } ->
+      Printf.sprintf "injected unjournaled store to byte %#x at VM step #%d"
+        addr step
 
 type t = {
   mutable pending : spec list;
@@ -39,7 +47,7 @@ let recompute t =
       (fun acc s ->
         match s with
         | Trap_at_step n -> min acc n
-        | Poison_byte { step; _ } -> min acc step
+        | Poison_byte { step; _ } | Stray_store { step; _ } -> min acc step
         | Fail_alloc _ -> acc)
       max_int t.pending
 
@@ -80,7 +88,8 @@ let fire_step t mem step =
     List.partition
       (function
         | Trap_at_step n -> n <= step
-        | Poison_byte { step = n; _ } -> n <= step
+        | Poison_byte { step = n; _ } | Stray_store { step = n; _ } ->
+            n <= step
         | Fail_alloc _ -> false)
       t.pending
   in
@@ -93,6 +102,7 @@ let fire_step t mem step =
           match Mem.shadow mem with
           | Some sh -> Shadow.poison sh addr
           | None -> Mem.corrupt_byte mem addr)
+      | Stray_store { addr; _ } -> Mem.stray_store mem addr
       | Trap_at_step _ as s -> trap := Some s
       | Fail_alloc _ -> ())
     due;

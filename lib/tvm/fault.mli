@@ -9,6 +9,10 @@ type spec =
   | Poison_byte of { step : int; addr : int }
       (** at step N, poison one heap byte (unaddressable when checked,
           silently corrupted when not) *)
+  | Stray_store of { step : int; addr : int }
+      (** at step N, flip one arena byte without journaling it — a
+          rollback-journal bug; for tests only, no CLI flag or protocol
+          field arms it *)
 
 exception Injected of spec * string
 

@@ -14,6 +14,7 @@ type txn = {
 
 type t = {
   bytes : Bytes.t;
+  pages : Pagedigest.t;  (** write bitmap and page digests of [bytes] *)
   mutable statics_ptr : int;
   heap_base : int;
   heap_limit : int;
@@ -32,6 +33,7 @@ let create ?(bytes = default_bytes) () =
   let bytes = max bytes (statics_limit + stack_bytes + (1 lsl 20)) in
   {
     bytes = Bytes.make bytes '\000';
+    pages = Pagedigest.create bytes;
     statics_ptr = statics_base;
     heap_base = statics_limit;
     heap_limit = bytes - stack_bytes;
@@ -44,8 +46,20 @@ let create ?(bytes = default_bytes) () =
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
 
-let page_bits = 12
-let page_size = 1 lsl page_bits
+let page_bits = Pagedigest.page_bits
+let page_size = Pagedigest.page_size
+
+(* Every write marks its pages for the fingerprint ({!Pagedigest}),
+   inside a transaction or not, independently of [note].  This is
+   [Pagedigest.touch] spelled out, so that a store stays free of calls
+   when modules are compiled without cross-module inlining. *)
+let[@inline] touch t addr len =
+  if len > 0 then begin
+    let p = addr lsr page_bits in
+    Bytes.unsafe_set t.pages.Pagedigest.state p Pagedigest.dirty;
+    let q = (addr + len - 1) lsr page_bits in
+    if q > p then Pagedigest.touch_pages t.pages (p + 1) q
+  end
 
 (** Save the pre-image of every page overlapping [addr, addr+len) that a
     rollback would need.  Called before every mutation. *)
@@ -93,6 +107,7 @@ let rollback t tx =
         then tx.tx_statics_floor - page_start
         else len
       in
+      touch t page_start len;
       Bytes.blit img 0 t.bytes page_start len)
     tx.tx_pages;
   t.txn <- None
@@ -102,16 +117,20 @@ let commit t (_ : txn) = t.txn <- None
 (** Digest of the transactional portion of the arena: statics below
     [statics_upto] (monotone compile-time statics above it are excluded)
     plus the heap and stack.  Two equal fingerprints mean the session
-    data state is byte-identical. *)
-let fingerprint ?statics_upto t =
+    data state is byte-identical.  Only pages written since the last
+    fingerprint are re-hashed; [~from_scratch:true] re-hashes every page
+    instead, through the same code, and must give the same value. *)
+let fingerprint ?(from_scratch = false) ?statics_upto t =
   let upto =
     match statics_upto with
     | Some n -> min n statics_limit
     | None -> t.statics_ptr
   in
-  let d1 = Digest.subbytes t.bytes 0 (max 0 upto) in
+  let pd = if from_scratch then Pagedigest.invalidated t.pages else t.pages in
+  let d1 = Pagedigest.prefix pd t.bytes (max 0 upto) in
   let d2 =
-    Digest.subbytes t.bytes statics_limit (Bytes.length t.bytes - statics_limit)
+    Pagedigest.root pd t.bytes
+      ~first_group:(statics_limit / (page_size * Pagedigest.group_pages))
   in
   Digest.to_hex (Digest.string (d1 ^ d2))
 
@@ -191,21 +210,25 @@ let get_f64s t a dst =
 let set_u8 t a v =
   check t a 1 "store u8";
   note t a 1;
+  touch t a 1;
   Bytes.unsafe_set t.bytes a (Char.unsafe_chr (v land 0xff))
 
 let set_u16 t a v =
   check t a 2 "store u16";
   note t a 2;
+  touch t a 2;
   Bytes.set_uint16_le t.bytes a (v land 0xffff)
 
 let[@inline] set_i32 t a v =
   check t a 4 "store i32";
   note t a 4;
+  touch t a 4;
   Bytes.set_int32_le t.bytes a v
 
 let[@inline] set_i64 t a v =
   check t a 8 "store i64";
   note t a 8;
+  touch t a 8;
   Bytes.set_int64_le t.bytes a v
 
 let[@inline] set_f32 t a v = set_i32 t a (Int32.bits_of_float v)
@@ -225,11 +248,13 @@ let blit t ~src ~dst ~len =
   check t src len "memcpy src";
   check t dst len "memcpy dst";
   note t dst len;
+  touch t dst len;
   Bytes.blit t.bytes src t.bytes dst len
 
 let fill t addr len c =
   check t addr len "memset";
   note t addr len;
+  touch t addr len;
   Bytes.fill t.bytes addr len c
 
 (* A C string that long is a bug, not data: stop scanning instead of
@@ -259,20 +284,41 @@ let get_cstring t addr =
 let corrupt_byte t addr =
   if addr >= 0 && addr < Bytes.length t.bytes then begin
     note t addr 1;
+    touch t addr 1;
     Bytes.set t.bytes addr '\xA5'
   end
 
 let set_cstring t addr s =
   check t addr (String.length s + 1) "store string";
   note t addr (String.length s);
+  touch t addr (String.length s);
   Bytes.blit_string s 0 t.bytes addr (String.length s);
   set_u8 t (addr + String.length s) 0
+
+(** Fault-injection entry for tests: flip one byte past the rollback
+    journal (no [note]) — a journal bug, which the next fingerprint
+    compared across a rollback must catch. *)
+let stray_store t addr =
+  if addr >= 0 && addr < Bytes.length t.bytes then begin
+    touch t addr 1;
+    Bytes.set t.bytes addr
+      (Char.chr (Char.code (Bytes.get t.bytes addr) lxor 0xff))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support *)
 
-(* The checkpoint layer (Session) serializes and restores the arena
-   wholesale; it needs raw access that bypasses bounds and shadow
-   checks.  The returned bytes alias the live arena. *)
-let unsafe_bytes t = t.bytes
-let set_statics_ptr t p = t.statics_ptr <- p
+(** Bytes [0, statics_mark), verbatim. *)
+let statics_image t = Bytes.sub_string t.bytes 0 t.statics_ptr
+
+(** [(offset, contents)] of every non-zero page of [heap_base, size), in
+    offset order. *)
+let heap_pages t = Pagedigest.nonzero_pages t.pages t.bytes ~from:t.heap_base
+
+(** Replace the whole arena with an image: zero, then [statics] at 0 and
+    each [(offset, contents)] page, and forget every page digest.  No
+    transaction may be active. *)
+let load_image t ~statics_ptr ~statics ~pages =
+  if t.txn <> None then invalid_arg "Mem.load_image: transaction active";
+  Pagedigest.load t.pages t.bytes ((0, statics) :: pages);
+  t.statics_ptr <- statics_ptr

@@ -37,8 +37,10 @@ val commit : t -> txn -> unit
 val statics_mark : t -> int
 
 (** Hex digest of the transactional portion of the arena (statics below
-    [statics_upto], the heap, and the stack). *)
-val fingerprint : ?statics_upto:int -> t -> string
+    [statics_upto], the heap, and the stack).  It re-hashes only the
+    pages written since the last call; [~from_scratch:true] re-hashes
+    every page through the same code and must give the same value. *)
+val fingerprint : ?from_scratch:bool -> ?statics_upto:int -> t -> string
 
 (** Attach a TerraSan shadow map; every subsequent access is checked
     against it in addition to the arena bounds. *)
@@ -99,9 +101,22 @@ val corrupt_byte : t -> int -> unit
 (** Write [s] plus a terminating NUL at [addr]. *)
 val set_cstring : t -> int -> string -> unit
 
-(** Raw arena access for the checkpoint layer ({!Session}) only: the
-    returned bytes alias the live arena and bypass every check. *)
-val unsafe_bytes : t -> Bytes.t
+(** Flip one byte without journaling it, bypassing all checks: a
+    rollback-journal bug, for fault-injection tests only. *)
+val stray_store : t -> int -> unit
 
-(** Reset the statics bump pointer to a checkpointed position. *)
-val set_statics_ptr : t -> int -> unit
+(** {2 Checkpoint support ({!Session})} *)
+
+(** Bytes [0, statics_mark), verbatim. *)
+val statics_image : t -> string
+
+(** [(offset, contents)] of every non-zero 4 KiB page of
+    [heap_base, size), in offset order.  Only pages written since
+    {!create} or {!load_image} are read. *)
+val heap_pages : t -> (int * string) list
+
+(** Replace the arena with an image: all zero but for [statics] at 0 and
+    the [(offset, contents)] pages, with the statics bump pointer at
+    [statics_ptr].  Raises [Invalid_argument] inside a transaction. *)
+val load_image :
+  t -> statics_ptr:int -> statics:string -> pages:(int * string) list -> unit

@@ -7,13 +7,15 @@
     bookkeeping, the compiled function table, imports, and the
     execution counters (stack pointer, fuel, steps, pending faults).
 
-    Restore zeroes the whole fresh arena before blitting the snapshot
-    back, so a restored session never inherits any byte from the engine
-    it is restored onto — there is nothing to reason about beyond "the
-    snapshot is the arena".  Process-global state (the Lua [rand]
-    generator, id counters) is deliberately not captured: it never
-    enters VM memory or fingerprints, and restoring it in-process would
-    corrupt other live engines. *)
+    Restore zeroes every page the engine has written before blitting the
+    snapshot back (the others are zero already), so a restored session
+    never inherits any byte from the engine it is restored onto — there
+    is nothing to reason about beyond "the snapshot is the arena".
+    Capture and restore both visit only written pages ({!Pagedigest}).
+    Process-global state (the Lua [rand] generator, id counters) is
+    deliberately not captured: it never enters VM memory or
+    fingerprints, and restoring it in-process would corrupt other live
+    engines. *)
 
 type mem_image = {
   mi_size : int;  (** arena size; restore refuses a mismatch *)
@@ -44,52 +46,23 @@ type t = {
   sn_faults : (Fault.spec list * int) option;
 }
 
-let page = 4096
-
-(* Sparse page scan: the heap/stack region of even a minimal arena is
-   ~9 MiB of mostly zeros, so pages are tested with an 8-byte stride
-   before being copied. *)
-let nonzero_pages bytes ~from ~upto =
-  let acc = ref [] in
-  let off = ref from in
-  while !off < upto do
-    let len = min page (upto - !off) in
-    let zero = ref true in
-    let i = ref 0 in
-    while !zero && !i + 8 <= len do
-      if Bytes.get_int64_ne bytes (!off + !i) <> 0L then zero := false;
-      i := !i + 8
-    done;
-    while !zero && !i < len do
-      if Bytes.get bytes (!off + !i) <> '\000' then zero := false;
-      incr i
-    done;
-    if not !zero then acc := (!off, Bytes.sub_string bytes !off len) :: !acc;
-    off := !off + page
-  done;
-  List.rev !acc
-
 let capture (vm : Vm.t) : t =
   if Vm.in_txn vm then invalid_arg "Session.capture: transaction active";
   let mem = vm.Vm.mem in
-  let raw = Mem.unsafe_bytes mem in
-  let statics_ptr = Mem.statics_mark mem in
   let sn_mem =
     {
-      mi_size = Bytes.length raw;
-      mi_statics_ptr = statics_ptr;
-      mi_statics = Bytes.sub_string raw 0 statics_ptr;
-      mi_pages =
-        nonzero_pages raw ~from:(Mem.heap_base mem) ~upto:(Bytes.length raw);
+      mi_size = Mem.size mem;
+      mi_statics_ptr = Mem.statics_mark mem;
+      mi_statics = Mem.statics_image mem;
+      mi_pages = Mem.heap_pages mem;
     }
   in
   let sn_shadow =
     Option.map
       (fun sh ->
-        let map = Shadow.unsafe_map sh in
         let live, freed = Shadow.entries sh in
         {
-          si_pages = nonzero_pages map ~from:0 ~upto:(Bytes.length map);
+          si_pages = Shadow.map_pages sh;
           si_live = live;
           si_freed = freed;
         })
@@ -117,33 +90,22 @@ let capture (vm : Vm.t) : t =
 let restore (vm : Vm.t) (s : t) : unit =
   if Vm.in_txn vm then invalid_arg "Session.restore: transaction active";
   let mem = vm.Vm.mem in
-  let raw = Mem.unsafe_bytes mem in
-  if Bytes.length raw <> s.sn_mem.mi_size then
+  if Mem.size mem <> s.sn_mem.mi_size then
     invalid_arg
       (Printf.sprintf "Session.restore: arena is %d bytes, snapshot wants %d"
-         (Bytes.length raw) s.sn_mem.mi_size);
+         (Mem.size mem) s.sn_mem.mi_size);
   (match (s.sn_shadow, Mem.shadow mem) with
   | Some _, Some _ | None, None -> ()
   | Some _, None ->
       invalid_arg "Session.restore: snapshot is checked, engine is not"
   | None, Some _ ->
       invalid_arg "Session.restore: engine is checked, snapshot is not");
-  Bytes.fill raw 0 (Bytes.length raw) '\000';
-  Bytes.blit_string s.sn_mem.mi_statics 0 raw 0
-    (String.length s.sn_mem.mi_statics);
-  List.iter
-    (fun (off, data) -> Bytes.blit_string data 0 raw off (String.length data))
-    s.sn_mem.mi_pages;
-  Mem.set_statics_ptr mem s.sn_mem.mi_statics_ptr;
+  Mem.load_image mem ~statics_ptr:s.sn_mem.mi_statics_ptr
+    ~statics:s.sn_mem.mi_statics ~pages:s.sn_mem.mi_pages;
   (match (s.sn_shadow, Mem.shadow mem) with
   | Some si, Some sh ->
-      let map = Shadow.unsafe_map sh in
-      Bytes.fill map 0 (Bytes.length map) '\000';
-      List.iter
-        (fun (off, data) ->
-          Bytes.blit_string data 0 map off (String.length data))
-        si.si_pages;
-      Shadow.set_entries sh ~live:si.si_live ~freed:si.si_freed
+      Shadow.load_image sh ~pages:si.si_pages ~live:si.si_live
+        ~freed:si.si_freed
   | _ -> ());
   Alloc.restore_snapshot vm.Vm.alloc s.sn_alloc;
   (* copy the arrays: Vm.set_func mutates elements in place and must not

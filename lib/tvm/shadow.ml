@@ -56,6 +56,7 @@ type t = {
   base : int;
   limit : int;
   map : Bytes.t;
+  pages : Pagedigest.t;  (** write bitmap and page digests of [map] *)
   live : (int, int * int * int) Hashtbl.t;
       (** payload -> (requested size, block lo, block hi) *)
   freed : (int, int * int * int) Hashtbl.t;  (** quarantined blocks *)
@@ -67,6 +68,7 @@ let create ~base ~limit =
     base;
     limit;
     map = Bytes.make (limit - base) chr_unaddressable;
+    pages = Pagedigest.create (limit - base);
     live = Hashtbl.create 64;
     freed = Hashtbl.create 64;
     txn = None;
@@ -83,8 +85,8 @@ let state_at t addr =
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
 
-let page_bits = 12
-let page_size = 1 lsl page_bits
+let page_bits = Pagedigest.page_bits
+let page_size = Pagedigest.page_size
 
 (* [lo, hi) are map offsets (address - base). *)
 let note t lo hi =
@@ -119,7 +121,9 @@ let restore_tbl dst src =
 
 let rollback t tx =
   Hashtbl.iter
-    (fun p img -> Bytes.blit img 0 t.map (p lsl page_bits) (Bytes.length img))
+    (fun p img ->
+      Pagedigest.touch t.pages (p lsl page_bits) (Bytes.length img);
+      Bytes.blit img 0 t.map (p lsl page_bits) (Bytes.length img))
     tx.tx_pages;
   restore_tbl t.live tx.tx_live;
   restore_tbl t.freed tx.tx_freed;
@@ -128,8 +132,9 @@ let rollback t tx =
 let commit t (_ : txn) = t.txn <- None
 
 (** Hex digest of the whole sanitizer state: the per-byte map plus the
-    sorted live and quarantined block registries. *)
-let fingerprint t =
+    sorted live and quarantined block registries.  The map is digested
+    like the arena ({!Mem.fingerprint}), [from_scratch] included. *)
+let fingerprint ?(from_scratch = false) t =
   let tbl name tbl =
     let rows =
       Hashtbl.fold
@@ -141,13 +146,17 @@ let fingerprint t =
   in
   Digest.to_hex
     (Digest.string
-       (Digest.bytes t.map ^ tbl "L" t.live ^ tbl "F" t.freed))
+       (Pagedigest.root
+          (if from_scratch then Pagedigest.invalidated t.pages else t.pages)
+          t.map ~first_group:0
+       ^ tbl "L" t.live ^ tbl "F" t.freed))
 
 let mark t ~addr ~len st =
   if len > 0 then begin
     let lo = max addr t.base and hi = min (addr + len) t.limit in
     if hi > lo then begin
       note t (lo - t.base) (hi - t.base);
+      Pagedigest.touch t.pages (lo - t.base) (hi - lo);
       Bytes.fill t.map (lo - t.base) (hi - lo) (chr_of_state st)
     end
   end
@@ -257,9 +266,9 @@ let describe v =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support *)
 
-(* Raw access to the per-byte map for the checkpoint layer; the returned
-   bytes alias the live map. *)
-let unsafe_map t = t.map
+(** [(offset, contents)] of every non-zero page of the byte map, in
+    offset order. *)
+let map_pages t = Pagedigest.nonzero_pages t.pages t.map ~from:0
 
 let entries t =
   let dump tbl =
@@ -267,7 +276,11 @@ let entries t =
   in
   (dump t.live, dump t.freed)
 
-let set_entries t ~live ~freed =
+(** Replace the whole sanitizer state with an image: the byte map zeroed
+    but for [pages], and the two block registries. *)
+let load_image t ~pages ~live ~freed =
+  if t.txn <> None then invalid_arg "Shadow.load_image: transaction active";
+  Pagedigest.load t.pages t.map pages;
   Hashtbl.reset t.live;
   List.iter (fun (k, v) -> Hashtbl.replace t.live k v) live;
   Hashtbl.reset t.freed;

@@ -41,8 +41,9 @@ val rollback : t -> txn -> unit
 
 val commit : t -> txn -> unit
 
-(** Hex digest of the map plus the sorted block registries. *)
-val fingerprint : t -> string
+(** Hex digest of the map plus the sorted block registries; the map is
+    digested like the arena, see {!Mem.fingerprint}. *)
+val fingerprint : ?from_scratch:bool -> t -> string
 
 val base : t -> int
 val limit : t -> int
@@ -80,18 +81,21 @@ val kind_code : kind -> string
 (** Human-readable one-line description of a violation. *)
 val describe : violation -> string
 
-(** Raw access to the per-byte map for the checkpoint layer ({!Session})
-    only; the returned bytes alias the live map. *)
-val unsafe_map : t -> Bytes.t
+(** [(offset, contents)] of every non-zero 4 KiB page of the byte map,
+    in offset order. *)
+val map_pages : t -> (int * string) list
 
 (** Both block registries as sorted assoc lists
     [(payload, (size, lo, hi))]: live first, then quarantined. *)
 val entries :
   t -> (int * (int * int * int)) list * (int * (int * int * int)) list
 
-(** Replace both block registries from checkpointed entries. *)
-val set_entries :
+(** Replace the whole state from a checkpoint: the byte map all
+    unaddressable but for the [(offset, contents)] pages, and both block
+    registries.  Raises [Invalid_argument] inside a transaction. *)
+val load_image :
   t ->
+  pages:(int * string) list ->
   live:(int * (int * int * int)) list ->
   freed:(int * (int * int * int)) list ->
   unit

@@ -133,16 +133,18 @@ let commit t tx =
 (** Hex digest of the whole transactional session state: arena bytes
     (statics below [statics_upto], heap, stack), allocator bookkeeping,
     and sanitizer shadow state.  Equal fingerprints before a call and
-    after its rollback prove the session is unchanged. *)
-let fingerprint ?statics_upto t =
+    after its rollback prove the session is unchanged.  [from_scratch]
+    re-hashes every page rather than only those written since the last
+    fingerprint (see {!Mem.fingerprint}); tests use it as the oracle. *)
+let fingerprint ?from_scratch ?statics_upto t =
   let sh =
     match Mem.shadow t.mem with
-    | Some sh -> Shadow.fingerprint sh
+    | Some sh -> Shadow.fingerprint ?from_scratch sh
     | None -> "-"
   in
   Digest.to_hex
     (Digest.string
-       (Mem.fingerprint ?statics_upto t.mem
+       (Mem.fingerprint ?from_scratch ?statics_upto t.mem
        ^ Alloc.fingerprint t.alloc ^ sh ^ string_of_int t.sp))
 
 (** Install a fault spec after creation (tests inject mid-run). *)

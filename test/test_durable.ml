@@ -71,8 +71,8 @@ let flip_byte data off =
 (* ------------------------------------------------------------------ *)
 (* Engine checkpoints *)
 
-(* The arena floor (statics + stack + 1 MiB of heap) keeps fingerprints
-   cheap: the matrix below recovers hundreds of pools. *)
+(* The arena floor (statics + stack + 1 MiB of heap) keeps engines small
+   to build: the matrix below recovers hundreds of pools. *)
 let mem_bytes = 10 * 1024 * 1024
 
 let make_eng () =
@@ -147,7 +147,15 @@ let engine_tests =
             expect_bad "flipped-header" (flip_byte blob 2);
             expect_bad "truncated"
               (String.sub blob 0 (String.length blob / 2));
-            expect_bad "empty" ""));
+            expect_bad "empty" "";
+            (* a format-1 checkpoint (fingerprints before page digests):
+               the magic lies outside the digest, so only it changes *)
+            let v2 = "TERRACKPT2\n" in
+            checks "current magic" v2 (String.sub blob 0 (String.length v2));
+            expect_bad "format-1"
+              ("TERRACKPT1\n"
+              ^ String.sub blob (String.length v2)
+                  (String.length blob - String.length v2))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -565,8 +573,8 @@ let matrix_tests =
    written here also recover under any worker count (and vice versa). *)
 let par_config = { soak_config with Server.pool_size = 4; workers = 4 }
 
-(* Run [lines] through the real channel loop — the code path
-   --workers N uses, writer domain and all — via temp files.  Returns
+(* Run [lines] through the real channel loop — the one dispatcher loop
+   every --workers N uses — via temp files.  Returns
    the exit code and the response lines in order (drain line last). *)
 let run_session server lines =
   let root = fresh_dir "chan" in
@@ -732,10 +740,10 @@ let par_matrix_tests =
                   Hashtbl.replace committed_at n committed;
                   (* a checkpoint's temp file exists only between its
                      write and its rename — i.e. exactly at the
-                     temp-write event, where the dispatcher is
-                     gate-blocked and every worker has drained, so the
-                     live state is the committed prefix and safe to
-                     read from this (writer) domain *)
+                     temp-write event, which the dispatcher raises after
+                     quiescing every worker, so the live state is the
+                     committed prefix and safe to read from this
+                     (dispatcher) domain *)
                   let tmp =
                     Filename.concat dir
                       (Printf.sprintf "ckpt-%010d.tmp" committed)

@@ -289,6 +289,28 @@ let serve_tests =
         checks "code" "trap.fuel" (jstr r "code");
         checki "exit" 2 (jint r "exit");
         checks "rollback" "verified" (jstr r "rollback"));
+    quick "a store the journal missed fails the rollback check, exit 3"
+      (fun () ->
+        (* a journal bug, injected: one unjournaled store, then a trap *)
+        let s = mk_server ~pool:1 () in
+        let eng = s.Server.pool.Pool.slots.(0).Pool.eng in
+        let vm = eng.Engine.ctx.Context.vm in
+        let mem = vm.Tvm.Vm.mem in
+        let addr = (Tvm.Mem.heap_base mem + Tvm.Mem.heap_limit mem) / 2 in
+        Engine.inject eng
+          (Tvm.Fault.Stray_store { step = Tvm.Vm.steps vm + 1; addr });
+        let r = ask s (run_line ~src:divzero_src ~retries:0 ()) in
+        checks "status" "error" (jstr r "status");
+        checks "rollback" "failed" (jstr r "rollback");
+        checks "code" "serve.fingerprint-mismatch" (jstr r "code");
+        checki "exit" 3 (jint r "exit");
+        checkb "recycled" true (jbool r "recycled");
+        let st = ask s "{\"op\":\"status\"}" in
+        checki "recycled_fingerprint" 1
+          (jint (jget st "pool") "recycled_fingerprint");
+        (* the rebuilt engine serves cleanly *)
+        checks "next request ok" "ok"
+          (jstr (ask s (run_line ~src:good_src ())) "status"));
     quick "a tenant depth cap applies per request and is restored" (fun () ->
         let budget =
           { Tenant.default_budget with Tenant.max_call_depth = Some 50 }

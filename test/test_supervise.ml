@@ -206,6 +206,31 @@ let transact_tests =
         match Engine.call_transactional e "churn" [ V.Num 3. ] with
         | Ok _ -> ()
         | Error d -> Alcotest.failf "post-rollback: %s" (Diag.to_string d));
+    quick "a store the journal missed moves the rollback fingerprint"
+      (fun () ->
+        (* the fingerprint's write marks are its own, not the journal's,
+           so a journal bug cannot hide from the rollback check *)
+        let e = engine ~checked:true () in
+        let _ = run_ok e churn_src in
+        (match Engine.call_transactional e "churn" [ V.Num 3. ] with
+        | Ok _ -> ()
+        | Error d -> Alcotest.failf "warmup: %s" (Diag.to_string d));
+        let vm = vm_of e in
+        let mark = Engine.statics_mark e in
+        let fp0 = Engine.fingerprint ~statics_upto:mark e in
+        let mem = vm.Tvm.Vm.mem in
+        let addr = (Mem.heap_base mem + Mem.heap_limit mem) / 2 in
+        Engine.inject e
+          (Fault.Stray_store { step = Tvm.Vm.steps vm + 10; addr });
+        Engine.inject e (Fault.Trap_at_step (Tvm.Vm.steps vm + 40));
+        (match Engine.call_transactional e "churn" [ V.Num 50. ] with
+        | Ok _ -> Alcotest.fail "expected the injected trap"
+        | Error d -> checks "code" "fault.trap" d.Diag.code);
+        checkb "fingerprint differs after rollback" true
+          (fp0 <> Engine.fingerprint ~statics_upto:mark e);
+        checks "cached = from scratch"
+          (Tvm.Vm.fingerprint ~from_scratch:true ~statics_upto:mark vm)
+          (Engine.fingerprint ~statics_upto:mark e));
     quick "successful call commits its effects" (fun () ->
         let e = engine ~checked:true () in
         let _ = run_ok e churn_src in

@@ -191,6 +191,235 @@ let prop_malloc_free_balance =
       Alloc.live_bytes a = 0 && Alloc.live_blocks a = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Fingerprints: the page-digest cache against a from-scratch recompute *)
+
+(* One step of a random session history.  Addresses are a page plus an
+   offset, and the offsets favour the last bytes of a page, so multi-byte
+   writes often straddle two pages. *)
+type fp_op =
+  | Store of int * int * int  (** width selector, address, value *)
+  | Lanes of bool * int * int  (** f64 lanes?, address, lane count *)
+  | Blit of int * int * int  (** src, dst, len *)
+  | Fill of int * int * int  (** address, len, byte *)
+  | Cstring of int * string
+  | Static of int  (** bump-allocate statics *)
+  | Malloc of int
+  | Free  (** the newest live block *)
+  | Begin
+  | Rollback
+  | Commit
+  | Capture
+  | Restore
+
+let fp_arena = 10 * 1024 * 1024 (* the arena floor *)
+
+let pp_fp_op = function
+  | Store (w, a, v) -> Printf.sprintf "store%d %#x %d" w a v
+  | Lanes (d, a, n) ->
+      Printf.sprintf "lanes%s %#x x%d" (if d then "64" else "32") a n
+  | Blit (s, d, n) -> Printf.sprintf "blit %#x->%#x %d" s d n
+  | Fill (a, n, c) -> Printf.sprintf "fill %#x %d %d" a n c
+  | Cstring (a, s) -> Printf.sprintf "cstring %#x %S" a s
+  | Static n -> Printf.sprintf "static %d" n
+  | Malloc n -> Printf.sprintf "malloc %d" n
+  | Free -> "free"
+  | Begin -> "begin"
+  | Rollback -> "rollback"
+  | Commit -> "commit"
+  | Capture -> "capture"
+  | Restore -> "restore"
+
+(* statics, the first heap group, the next one, and the stack *)
+let fp_regions =
+  [
+    Mem.statics_base; 1 lsl 20; (1 lsl 20) + (64 * 4096); fp_arena - (8 lsl 20);
+  ]
+
+let gen_fp_addr =
+  let open QCheck.Gen in
+  let* region = oneofl fp_regions in
+  let* page = int_range 0 5 in
+  let* off = oneof [ int_range 4080 4095; int_range 0 4095 ] in
+  return (region + (page * 4096) + off)
+
+let gen_fp_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map3 (fun w a v -> Store (w, a, v)) (int_range 0 5) gen_fp_addr nat);
+      (2, map3 (fun d a n -> Lanes (d, a, n)) bool gen_fp_addr (int_range 1 8));
+      ( 2,
+        map3
+          (fun s d n -> Blit (s, d, n))
+          gen_fp_addr gen_fp_addr (int_range 0 9000) );
+      ( 2,
+        map3
+          (fun a n c -> Fill (a, n, c))
+          gen_fp_addr (int_range 0 9000) (int_range 0 255) );
+      ( 1,
+        map2
+          (fun a s -> Cstring (a, s))
+          gen_fp_addr
+          (string_size ~gen:printable (int_range 0 40)) );
+      (1, map (fun n -> Static n) (int_range 1 5000));
+      (2, map (fun n -> Malloc n) (int_range 1 9000));
+      (1, return Free);
+      (2, return Begin);
+      (2, return Rollback);
+      (1, return Commit);
+      (1, return Capture);
+      (1, return Restore);
+    ]
+
+let fp_ok name a b =
+  if a <> b then QCheck.Test.fail_reportf "%s: %s <> %s" name a b
+
+(* A history: single ops, and transactions of a few ops that end in a
+   rollback or a commit (a lone op may also begin or end one). *)
+let gen_fp_history =
+  let open QCheck.Gen in
+  let txn =
+    let* body = list_size (int_range 1 4) gen_fp_op in
+    let* fin = frequency [ (3, return Rollback); (1, return Commit) ] in
+    return ((Begin :: body) @ [ fin ])
+  in
+  map List.concat
+    (list_size (int_range 1 5)
+       (frequency [ (3, map (fun o -> [ o ]) gen_fp_op); (2, txn) ]))
+
+(* A fresh engine whose target pages each hold a different byte, so a
+   blit or a rollback almost always changes what it overwrites.  (The
+   heap stays zero in checked mode, where it is not addressable.) *)
+let fp_vm checked =
+  let vm =
+    Vm.create ~mem_bytes:fp_arena ~checked
+      (Tmachine.Machine.create Tmachine.Config.test_tiny)
+  in
+  List.iteri
+    (fun i region ->
+      for p = 0 to 6 do
+        let c = Char.chr (1 + (8 * i) + p) in
+        try Mem.fill vm.Vm.mem (region + (p * 4096)) 4096 c
+        with Shadow.Violation _ -> ()
+      done)
+    fp_regions;
+  vm
+
+(* Apply one op; an op the memory refuses (bounds, sanitizer, a state
+   the op needs) is a no-op.  Checks the rollback and restore contracts
+   on the way. *)
+let fp_apply vm (txn, blocks, saved) op =
+  let m = vm.Vm.mem in
+  try
+    match op with
+    | Store (w, a, v) ->
+        (match w with
+        | 0 -> Mem.set_u8 m a v
+        | 1 -> Mem.set_u16 m a v
+        | 2 -> Mem.set_i32 m a (Int32.of_int v)
+        | 3 -> Mem.set_i64 m a (Int64.of_int v)
+        | 4 -> Mem.set_f32 m a (float_of_int v)
+        | _ -> Mem.set_f64 m a (float_of_int v));
+        (txn, blocks, saved)
+    | Lanes (d, a, n) ->
+        let lanes = Array.init n float_of_int in
+        if d then Mem.set_f64s m a lanes else Mem.set_f32s m a lanes;
+        (txn, blocks, saved)
+    | Blit (src, dst, len) ->
+        Mem.blit m ~src ~dst ~len;
+        (txn, blocks, saved)
+    | Fill (a, n, c) ->
+        Mem.fill m a n (Char.chr c);
+        (txn, blocks, saved)
+    | Cstring (a, s) ->
+        Mem.set_cstring m a s;
+        (txn, blocks, saved)
+    | Static n ->
+        ignore (Mem.alloc_static m ~align:8 n);
+        (txn, blocks, saved)
+    | Malloc n -> (txn, Alloc.malloc vm.Vm.alloc n :: blocks, saved)
+    | Free -> (
+        match blocks with
+        | p :: rest ->
+            Alloc.free vm.Vm.alloc p;
+            (txn, rest, saved)
+        | [] -> (txn, blocks, saved))
+    | Begin when txn = None ->
+        let mark = Mem.statics_mark m in
+        let fp = Vm.fingerprint ~statics_upto:mark vm in
+        (Some (Vm.begin_txn vm, mark, fp, blocks), blocks, saved)
+    | Rollback -> (
+        match txn with
+        | Some (tx, mark, fp, blocks0) ->
+            Vm.rollback vm tx;
+            fp_ok "rollback" fp (Vm.fingerprint ~statics_upto:mark vm);
+            (None, blocks0, saved)
+        | None -> (txn, blocks, saved))
+    | Commit -> (
+        match txn with
+        | Some (tx, _, _, _) ->
+            Vm.commit vm tx;
+            (None, blocks, saved)
+        | None -> (txn, blocks, saved))
+    | Capture when txn = None ->
+        (txn, blocks, Some (Session.capture vm, Vm.fingerprint vm, blocks))
+    | Restore when txn = None -> (
+        match saved with
+        | Some (snap, fp, blocks0) ->
+            Session.restore vm snap;
+            fp_ok "restore" fp (Vm.fingerprint vm);
+            (txn, blocks0, saved)
+        | None -> (txn, blocks, saved))
+    | Begin | Capture | Restore -> (txn, blocks, saved)
+  with
+  | Mem.Fault _ | Shadow.Violation _ | Alloc.Out_of_memory _
+  | Alloc.Invalid_free _ ->
+      (txn, blocks, saved)
+
+let prop_fingerprint_audit =
+  QCheck.Test.make ~count:40
+    ~name:"cached fingerprint = full recompute"
+    (let print ops = String.concat "; " (List.map pp_fp_op ops) in
+     QCheck.(
+       triple bool (make ~print gen_fp_history)
+         (make ~print Gen.(list_size (int_range 0 4) gen_fp_op))))
+    (fun (checked, ops, other) ->
+      let vm = fp_vm checked in
+      let audit i upto =
+        fp_ok (Printf.sprintf "step %d" i)
+          (Vm.fingerprint ~from_scratch:true ?statics_upto:upto vm)
+          (Vm.fingerprint ?statics_upto:upto vm)
+      in
+      let st = ref (None, [], None) in
+      List.iteri
+        (fun i op ->
+          st := fp_apply vm !st op;
+          (* every other step audits an arbitrary statics mark *)
+          audit i
+            (if i mod 2 = 0 then None
+             else Some ((i * 37_171) mod (1 lsl 20))))
+        ops;
+      (match !st with
+      | Some (tx, _, _, _), _, _ -> Vm.commit vm tx
+      | None, _, _ -> ());
+      (* the same bytes reached by another history: a second engine with
+         writes and digests of its own, then restored from a capture *)
+      let vm2 = fp_vm checked in
+      let st2 = List.fold_left (fp_apply vm2) (None, [], None) other in
+      (match st2 with Some (tx, _, _, _), _, _ -> Vm.rollback vm2 tx | _ -> ());
+      ignore (Vm.fingerprint vm2);
+      Session.restore vm2 (Session.capture vm);
+      fp_ok "restored copy" (Vm.fingerprint vm) (Vm.fingerprint vm2);
+      fp_ok "restored copy, from scratch" (Vm.fingerprint vm2)
+        (Vm.fingerprint ~from_scratch:true vm2);
+      (* a capture keeps statics below the bump pointer only *)
+      let upto = Mem.statics_mark vm.Vm.mem - 17 in
+      fp_ok "restored copy, statics mark"
+        (Vm.fingerprint ~statics_upto:upto vm)
+        (Vm.fingerprint ~statics_upto:upto vm2);
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* VM execution *)
 
 let compile_and_run ?(args = [||]) code ~nparams ~nregs =
@@ -942,6 +1171,7 @@ let () =
           Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "static alloc aligned" `Quick
             test_alloc_static_aligned;
+          QCheck_alcotest.to_alcotest prop_fingerprint_audit;
         ] );
       ( "alloc",
         [
