@@ -90,31 +90,51 @@ for prog in test/programs/*.t; do
 done
 
 echo "== batch runner smoke =="
-batch_out=$(mktemp)
+# --profile json prints one profile merged from the requests to stderr;
+# its counts (every field but the host-time "ms") must not depend on the
+# worker count.
+batch_out=$(mktemp) batch_prof1=$(mktemp) batch_prof4=$(mktemp)
 timeout 240 dune exec bin/terra_run.exe -- --batch examples/batch.manifest \
-  > "$batch_out"
-python3 - "$batch_out" <<'PY'
+  --profile json > "$batch_out" 2> "$batch_prof1"
+timeout 240 dune exec bin/terra_run.exe -- --batch examples/batch.manifest \
+  --profile json --jobs 4 > /dev/null 2> "$batch_prof4"
+python3 - "$batch_out" "$batch_prof1" "$batch_prof4" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["schema"] == "terra-batch-2", report.get("schema")
 rows = report["requests"]
 assert rows, "batch report is empty"
 assert all(r["status"] == "ok" for r in rows), rows
-prof = report["profile"]
+assert "profile" not in report, "the profile belongs on stderr"
+def profile(path):
+    return json.loads(open(path).read().strip().splitlines()[-1])
+def counts(p):
+    for ph in p["phases"]:
+        del ph["ms"]
+    return p
+prof = profile(sys.argv[2])
 assert prof["schema"] == "terra-prof-1", prof.get("schema")
 assert prof["total_retired"] > 0, prof
-print("batch report: %d requests, all ok (profile: %d instructions)"
-      % (len(rows), prof["total_retired"]))
+assert counts(prof) == counts(profile(sys.argv[3])), "jobs 1 and 4 profiles differ"
+print("batch report: %d requests, all ok (profile: %d instructions, "
+      "identical counts at jobs 1 and 4)" % (len(rows), prof["total_retired"]))
 PY
-rm -f "$batch_out"
+rm -f "$batch_out" "$batch_prof1" "$batch_prof4"
 
 echo "== parallel batch gate (--jobs byte-identity) =="
-# Explicit --jobs routes the batch through the domain pool with a
-# private engine per worker; the report must be byte-identical for
-# every worker count, including the mixed good/san-trap/leak corpus
-# whose diagnostics embed heap addresses.
-par_manifest=$(mktemp) par_a=$(mktemp) par_b=$(mktemp)
+# Every request runs isolated from its worker engine's factory baseline,
+# so the report must be byte-identical with no --jobs and at every
+# worker count, including the mixed good/san-trap/leak corpus whose
+# diagnostics embed heap addresses, and four rand() rows (the modeled C
+# PRNG restarts for every request).
+par_dir=$(mktemp -d)
+par_manifest="$par_dir/m"
 root=$(pwd)
+cat > "$par_dir/rand.t" <<'TERRA'
+local C = terralib.includec("stdlib.h")
+terra r() return C.rand() end
+print(r())
+TERRA
 {
   echo "$root/examples/programs/mandelbrot.t fuel=2000000000 tenant=alice"
   echo "$root/test/programs/double_free.t tenant=mallory"
@@ -122,23 +142,34 @@ root=$(pwd)
   echo "$root/test/programs/leak.t tenant=frank"
   echo "$root/test/programs/invalid_free.t tenant=mallory"
   echo "$root/examples/programs/mandelbrot.t fuel=2000000000 tenant=alice"
+  for _ in 1 2 3 4; do echo "$par_dir/rand.t tenant=dice"; done
 } > "$par_manifest"
 # the buggy rows make the batch exit nonzero by design; the gate is
-# that both runs agree on the exit code and the report bytes
-rc_a=0 rc_b=0
+# that every run agrees on the exit code and the report bytes
+rc_0=0 rc_a=0 rc_b=0
+timeout 240 dune exec bin/terra_run.exe -- --checked \
+  --batch "$par_manifest" > "$par_dir/jobs0" || rc_0=$?
 t0=$(date +%s%N)
 timeout 240 dune exec bin/terra_run.exe -- --checked \
-  --batch "$par_manifest" --jobs 1 > "$par_a" || rc_a=$?
+  --batch "$par_manifest" --jobs 1 > "$par_dir/jobs1" || rc_a=$?
 t1=$(date +%s%N)
 timeout 240 dune exec bin/terra_run.exe -- --checked \
-  --batch "$par_manifest" --jobs 4 > "$par_b" || rc_b=$?
+  --batch "$par_manifest" --jobs 4 > "$par_dir/jobs4" || rc_b=$?
 t2=$(date +%s%N)
-if [ "$rc_a" -ne "$rc_b" ]; then
-  echo "exit-code divergence: jobs=1 rc=$rc_a, jobs=4 rc=$rc_b" >&2
+if [ "$rc_0" -ne "$rc_a" ] || [ "$rc_a" -ne "$rc_b" ]; then
+  echo "exit-code divergence: no --jobs rc=$rc_0, jobs=1 rc=$rc_a," \
+    "jobs=4 rc=$rc_b" >&2
   exit 1
 fi
-diff "$par_a" "$par_b"
-echo "jobs=1 and jobs=4 batch reports byte-identical (rc=$rc_a)"
+diff "$par_dir/jobs0" "$par_dir/jobs1"
+diff "$par_dir/jobs1" "$par_dir/jobs4"
+python3 - "$par_dir/jobs1" <<'PY'
+import json, sys
+outs = [r["output"] for r in json.load(open(sys.argv[1]))["requests"]
+        if r["file"].endswith("/rand.t")]
+assert len(outs) == 4 and len(set(outs)) == 1, outs
+PY
+echo "no --jobs, jobs=1 and jobs=4 batch reports byte-identical (rc=$rc_a)"
 ms1=$(( (t1 - t0) / 1000000 )) ms4=$(( (t2 - t1) / 1000000 ))
 echo "wall: jobs=1 ${ms1}ms, jobs=4 ${ms4}ms"
 if [ "$(nproc)" -ge 4 ]; then
@@ -152,7 +183,7 @@ if [ "$(nproc)" -ge 4 ]; then
 else
   echo "(fewer than 4 cores: speedup gate skipped, identity gate enforced)"
 fi
-rm -f "$par_manifest" "$par_a" "$par_b"
+rm -rf "$par_dir"
 
 echo "== serve smoke =="
 # The daemon front end: pipe the example session through terra_serve and

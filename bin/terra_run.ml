@@ -6,32 +6,33 @@
    fault, or a leak under --checked), 3 = --verify-rollback found the
    session changed after a rolled-back transactional run. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+module Supervisor = Supervise.Supervisor
 
-(* Exit code for a protected/supervised run result, shared by the plain
-   and transactional paths. *)
-let code_of_result engine ~checked ~no_leak_check = function
-  | Ok _ -> (
-      if not (checked && not no_leak_check) then 0
-      else
-        match Terra.Engine.leak_diag engine with
-        | None -> 0
-        | Some d ->
-            Printf.eprintf "%s\n" (Terra.Diag.to_string d);
-            2)
-  | Error d ->
-      Printf.eprintf "%s\n" (Terra.Diag.to_string d);
-      if Terra.Diag.is_runtime_fault d then 2 else 1
+(* Report a run's diagnostic on stderr — or, under --checked, the heap
+   blocks a successful run leaked — and return its exit code. *)
+let finish_run engine ~checked ~no_leak_check ?rollback result =
+  let leak =
+    match result with
+    | Ok _ when checked && not no_leak_check -> Terra.Engine.leak_diag engine
+    | _ -> None
+  in
+  (match (result, leak) with
+  | Error d, _ | Ok _, Some d -> Printf.eprintf "%s\n" (Terra.Diag.to_string d)
+  | Ok _, None -> ());
+  Supervisor.exit_code ?rollback ~leaked:(leak <> None) result
+
+(* --profile goes to stderr: stdout is the program's *)
+let print_profile format report =
+  match format with
+  | Some `Text -> prerr_string (Tprof.Report.to_text report)
+  | Some `Json -> Printf.eprintf "%s\n" (Tprof.Report.to_json report)
+  | None -> ()
 
 let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let rec run_file path stats fuel max_steps max_depth checked no_leak_check
+let run_file path stats fuel max_steps max_depth checked no_leak_check
     fail_alloc_at trap_at_step report_fuel opt dump_ir dump_opt_stats transact
     verify_rollback retries batch jobs profile trace cache emit preload =
   (* one cache handle for the whole invocation, shared by every engine
@@ -55,151 +56,99 @@ let rec run_file path stats fuel max_steps max_depth checked no_leak_check
     | _ -> ());
     code
   in
+  let config = { Supervisor.default_config with max_retries = retries } in
   finish
   @@
   match (batch, path) with
-  | Some manifest, _ when jobs <> None ->
-      let jobs = Option.get jobs in
-      (* Parallel batch mode: N worker domains, each with a private
-         engine restored to a factory-fresh baseline before every
-         request, drain the manifest together.  The report is
-         byte-identical to --jobs 1 (and carries no engine-wide
-         profile or trace, which are whole-engine artifacts). *)
-      if jobs < 1 then begin
-        prerr_endline "terra_run: --jobs must be >= 1";
-        1
-      end
-      else if trace <> None then begin
-        prerr_endline "terra_run: --trace is not available with --jobs";
-        1
-      end
-      else begin
-        let make_engine () =
-          Terrastd.create ?fuel ?lua_steps:max_steps ?max_call_depth:max_depth
-            ~checked ~opt_level:opt ?ccache ()
-        in
-        let config =
-          { Supervise.Supervisor.default_config with max_retries = retries }
-        in
-        let json, code =
-          Supervise.Batch.run_manifest_par ~config ~jobs ~make_engine manifest
-        in
-        print_string json;
-        code
-      end
+  | Some _, _ when jobs < 1 ->
+      prerr_endline "terra_run: --jobs must be >= 1";
+      1
+  | Some _, _ when trace <> None ->
+      prerr_endline "terra_run: --trace is not available with --batch";
+      1
   | Some manifest, _ ->
-      (* Batch mode: many scripts, one shared engine, supervised runs,
-         JSON report on stdout.  Profiling is always on so the report
-         carries instruction/alloc attribution across all requests. *)
-      let engine =
+      (* Batch mode: every request isolated on a worker engine restored
+         to its factory baseline, supervised, JSON report on stdout;
+         --profile prints the merged per-request profiles. *)
+      let make_engine () =
         Terrastd.create ?fuel ?lua_steps:max_steps ?max_call_depth:max_depth
-          ~checked ~opt_level:opt ~profile:true ~trace:(trace <> None) ?ccache
-          ()
+          ~checked ~opt_level:opt ~profile:(profile <> None) ?ccache ()
       in
-      let config =
-        { Supervise.Supervisor.default_config with max_retries = retries }
+      let json, report, code =
+        Supervise.Batch.run_manifest ~config ~jobs ~make_engine manifest
       in
-      let json, code = Supervise.Batch.run_manifest ~config engine manifest in
       print_string json;
-      (match trace with
-      | Some f -> write_file f (Terra.Engine.trace_chrome engine)
-      | None -> ());
+      print_profile profile report;
       code
   | None, None ->
       prerr_endline "terra_run: expected PROGRAM.t or --batch MANIFEST";
       1
   | None, Some path ->
-      ignore jobs;
-      run_one path stats fuel max_steps max_depth checked no_leak_check
-        fail_alloc_at trap_at_step report_fuel opt dump_ir dump_opt_stats
-        transact verify_rollback retries profile trace ccache
-
-and run_one path stats fuel max_steps max_depth checked no_leak_check
-    fail_alloc_at trap_at_step report_fuel opt dump_ir dump_opt_stats transact
-    verify_rollback retries profile trace ccache =
-  let src = read_file path in
-  let faults =
-    List.filter_map
-      (fun x -> x)
-      [
-        Option.map (fun n -> Tvm.Fault.Fail_alloc n) fail_alloc_at;
-        Option.map (fun n -> Tvm.Fault.Trap_at_step n) trap_at_step;
-      ]
-  in
-  let dump_ir =
-    match dump_ir with
-    | None -> Terra.Context.Dump_none
-    | Some `Before -> Terra.Context.Dump_before
-    | Some `After -> Terra.Context.Dump_after
-  in
-  let engine =
-    Terrastd.create ?fuel ?lua_steps:max_steps ?max_call_depth:max_depth
-      ~checked ~faults ~opt_level:opt ~dump_ir ~profile:(profile <> None)
-      ~trace:(trace <> None) ?ccache ()
-  in
-  let code =
-    if not transact then
-      match Terra.Engine.run_protected engine ~file:path src with
-      | r -> code_of_result engine ~checked ~no_leak_check r
-      | exception ((Out_of_memory | Assert_failure _) as e) -> raise e
-    else begin
-      (* Supervised transactional run: journal the session, retry
-         transient faults, degrade to opt 0 on runtime faults, and roll
-         the session back byte-for-byte on failure. *)
-      let mark = Terra.Engine.statics_mark engine in
-      let fp_before =
-        if verify_rollback then
-          Some (Terra.Engine.fingerprint ~statics_upto:mark engine)
-        else None
+      let src = Supervise.Batch.read_file path in
+      let faults =
+        List.filter_map Fun.id
+          [
+            Option.map (fun n -> Tvm.Fault.Fail_alloc n) fail_alloc_at;
+            Option.map (fun n -> Tvm.Fault.Trap_at_step n) trap_at_step;
+          ]
       in
-      Supervise.Supervisor.log_sink := prerr_endline;
-      let config =
-        { Supervise.Supervisor.default_config with max_retries = retries }
+      let dump_ir =
+        match dump_ir with
+        | None -> Terra.Context.Dump_none
+        | Some `Before -> Terra.Context.Dump_before
+        | Some `After -> Terra.Context.Dump_after
       in
-      let o = Supervise.Supervisor.run_script ~config ~file:path engine src in
-      print_string o.Supervise.Supervisor.output;
-      (match o.Supervise.Supervisor.divergence with
-      | Some d -> Printf.eprintf "%s\n" (Terra.Diag.to_string d)
-      | None -> ());
+      let engine =
+        Terrastd.create ?fuel ?lua_steps:max_steps ?max_call_depth:max_depth
+          ~checked ~faults ~opt_level:opt ~dump_ir ~profile:(profile <> None)
+          ~trace:(trace <> None) ?ccache ()
+      in
       let code =
-        code_of_result engine ~checked ~no_leak_check
-          o.Supervise.Supervisor.result
+        if not transact then
+          match Terra.Engine.run_protected engine ~file:path src with
+          | r -> finish_run engine ~checked ~no_leak_check r
+          | exception ((Out_of_memory | Assert_failure _) as e) -> raise e
+        else begin
+          (* Supervised transactional run: journal the session, retry
+             transient faults, degrade to opt 0 on runtime faults, and
+             roll the session back byte-for-byte on failure. *)
+          Supervisor.log_sink := prerr_endline;
+          let o =
+            Supervisor.run_script ~config ~file:path ~verify_rollback engine
+              src
+          in
+          print_string o.Supervisor.output;
+          Option.iter
+            (fun d -> Printf.eprintf "%s\n" (Terra.Diag.to_string d))
+            o.Supervisor.divergence;
+          let rollback = o.Supervisor.rollback in
+          let code =
+            finish_run engine ~checked ~no_leak_check ~rollback
+              o.Supervisor.result
+          in
+          (match rollback with
+          | Supervisor.Verified fp ->
+              Printf.eprintf "rollback: verified (session fingerprint %s)\n" fp
+          | Supervisor.Mismatch (before, after) ->
+              Printf.eprintf
+                "rollback: FAILED (fingerprint %s before, %s after)\n" before
+                after
+          | Supervisor.Unverified -> ());
+          code
+        end
       in
-      match (fp_before, o.Supervise.Supervisor.result) with
-      | Some before, Error _ ->
-          (* The run failed, so the rollback must have restored the
-             session byte-for-byte. *)
-          let after = Terra.Engine.fingerprint ~statics_upto:mark engine in
-          if String.equal before after then begin
-            Printf.eprintf "rollback: verified (session fingerprint %s)\n"
-              before;
-            code
-          end
-          else begin
-            Printf.eprintf
-              "rollback: FAILED (fingerprint %s before, %s after)\n" before
-              after;
-            3
-          end
-      | _ -> code
-    end
-  in
-  if report_fuel then
-    Printf.eprintf "fuel: %d\n" (Terra.Engine.fuel_used engine);
-  (* profile/trace go to stderr and files: stdout is the program's *)
-  (match profile with
-  | Some `Text -> Printf.eprintf "%s" (Terra.Engine.profile_text engine)
-  | Some `Json -> Printf.eprintf "%s\n" (Terra.Engine.profile_json engine)
-  | None -> ());
-  (match trace with
-  | Some f -> write_file f (Terra.Engine.trace_chrome engine)
-  | None -> ());
-  if dump_opt_stats then
-    Format.eprintf "%a@." Topt.Stats.pp (Terra.Engine.opt_stats engine);
-  if stats then
-    Format.eprintf "-- machine model --@.%a@." Tmachine.Machine.pp_report
-      (Terra.Engine.report engine);
-  code
+      if report_fuel then
+        Printf.eprintf "fuel: %d\n" (Terra.Engine.fuel_used engine);
+      print_profile profile (Terra.Engine.profile engine);
+      Option.iter
+        (fun f -> write_file f (Terra.Engine.trace_chrome engine))
+        trace;
+      if dump_opt_stats then
+        Format.eprintf "%a@." Topt.Stats.pp (Terra.Engine.opt_stats engine);
+      if stats then
+        Format.eprintf "-- machine model --@.%a@." Tmachine.Machine.pp_report
+          (Terra.Engine.report engine);
+      code
 
 let () =
   let open Cmdliner in
@@ -338,25 +287,22 @@ let () =
       & info [ "batch" ] ~docv:"MANIFEST"
           ~doc:
             "batch mode: run every script listed in $(docv) (one per line, \
-             with optional $(b,fuel=N) and $(b,retries=N) budgets) against \
-             one shared engine under the supervisor, and print a \
-             per-request JSON report to stdout.  Exits 0 only if every \
-             request succeeded.")
+             with optional $(b,fuel=N), $(b,retries=N) and \
+             $(b,tenant=NAME) budgets) under the supervisor, each from a \
+             factory-fresh engine baseline, and print a per-request JSON \
+             report to stdout.  $(b,--profile) prints one profile merged \
+             from the requests; $(b,--trace) is unavailable.  Exits 0 \
+             only if every request succeeded.")
   in
   let jobs =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "with $(b,--batch): drain the manifest with $(docv) worker \
-             domains, one private engine per worker, each request run \
-             from a factory-fresh engine baseline.  The JSON report is \
-             byte-identical for every $(docv) (rows stay in manifest \
-             order) but carries no engine-wide profile, and \
-             $(b,--trace) is unavailable.  Without $(b,--jobs) the \
-             manifest runs sequentially against one shared engine and \
-             the report includes the engine profile.")
+             domains, one private engine per worker (default 1).  The \
+             report and the merged profile's counts do not depend on \
+             $(docv); rows stay in manifest order.")
   in
   let profile =
     Arg.(

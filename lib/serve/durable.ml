@@ -144,9 +144,8 @@ type input = Line of string | Oversize of int
     Under [--workers N] the live decision depends on scheduling (which
     siblings are in flight, which settlements have landed), so replay
     must impose the recorded outcome rather than recompute it.
-    [Unrecorded] marks non-run lines and journals written before this
-    field existed — those replay through live admission, which is
-    deterministic for a single-threaded session. *)
+    [Unrecorded] marks non-run lines; a run line recorded without a
+    grant fails recovery with [recover.bad-wal]. *)
 type admission = Unrecorded | Rejected | Granted of int
 
 (** Journal a request before executing it; returns its sequence number.

@@ -123,28 +123,11 @@ let parse (line : string) : (request option, Diag.t) result =
 (* ------------------------------------------------------------------ *)
 (* Responses *)
 
-let opt_str = function Some s -> Json.Str s | None -> Json.Null
-
 (** The [terra-batch-2] request-report fields shared with
     [terra_run --batch], plus serve-specific extras appended. *)
 let entry_json (e : Batch.entry) ~(extra : (string * Json.t) list) : Json.t =
   Json.Obj
-    ([
-       ("schema", Json.Str "terra-batch-2");
-       ("file", Json.Str e.Batch.e_file);
-       ("status", Json.Str e.Batch.e_status);
-       ("code", opt_str e.Batch.e_code);
-       ("message", opt_str e.Batch.e_message);
-       ("attempts", Json.Int e.Batch.e_attempts);
-       ("retries", Json.Int e.Batch.e_retries);
-       ("backoff", Json.Int e.Batch.e_backoff);
-       ("fuel", Json.Int e.Batch.e_fuel);
-       ("fallback", Json.Bool e.Batch.e_fallback);
-       ("divergence", opt_str e.Batch.e_divergence);
-       ("output", Json.Str e.Batch.e_output);
-       ("tenant", Json.Str e.Batch.e_tenant);
-     ]
-    @ extra)
+    ((("schema", Json.Str "terra-batch-2") :: Batch.entry_fields e) @ extra)
 
 (** The serve-specific extras for a response that never touched an
     engine: parse errors, oversize lines, admission rejections, source
@@ -158,18 +141,10 @@ let no_engine_extra =
     ("recycled", Json.Bool false);
   ]
 
-(** A non-run failure (bad request, admission rejection) rendered in the
-    same shape, so clients parse one schema. *)
+(** A failure that never touched an engine (bad request, admission
+    rejection) rendered in the same shape, so clients parse one schema. *)
 let error_json ?(status = "error") ?(tenant = Batch.default_tenant)
-    ?(file = "-") ?(extra = []) (d : Diag.t) : Json.t =
+    ?(file = "-") ?(extra = no_engine_extra) (d : Diag.t) : Json.t =
   entry_json
     { (Batch.error_entry ~file ~tenant d) with e_status = status }
     ~extra
-
-(** The exit code a one-shot [terra_run] would report for this result:
-    0 success, 1 diagnostic, 2 runtime fault (or a leak under checked
-    execution) — the serving layer adds 3 for a failed rollback verify. *)
-let exit_code ~checked ~leaked (result : (unit, Diag.t) result) : int =
-  match result with
-  | Ok () -> if checked && leaked then 2 else 0
-  | Error d -> if Diag.is_runtime_fault d then 2 else 1

@@ -113,12 +113,6 @@ let create ?(config = default_config) () =
     crashed = None;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Run requests *)
 
@@ -178,9 +172,9 @@ let prepare_run (t : t) (r : Protocol.run_req) : prepared =
       | Durable.Granted g -> Ok (Tenant.book_admission tenant ~grant:g)
       | Durable.Rejected -> Error (Tenant.book_rejection tenant)
       | Durable.Unrecorded ->
-          (* legacy journal without pinned admissions: recompute, which
-             is exact for the single-threaded sessions that wrote it *)
-          Tenant.admit tenant ~req_fuel:r.Protocol.r_fuel
+          Diag.error ~phase:Diag.Run ~code:"recover.bad-wal"
+            "journal replays a run request whose begin record pins no \
+             admission grant"
     else Tenant.admit tenant ~req_fuel:r.Protocol.r_fuel
   in
   match decision with
@@ -189,14 +183,13 @@ let prepare_run (t : t) (r : Protocol.run_req) : prepared =
         (Printf.sprintf "serve: %s rejected for tenant '%s' (%s)" file
            tenant_name d.Diag.code);
       Rejected
-        (Protocol.error_json ~status:"rejected" ~tenant:tenant_name ~file
-           ~extra:Protocol.no_engine_extra d)
+        (Protocol.error_json ~status:"rejected" ~tenant:tenant_name ~file d)
   | Ok fuel_grant -> (
       match
         match r.Protocol.r_src with
         | Some src -> Ok src
         | None -> (
-            match read_file file with
+            match Batch.read_file file with
             | src -> Ok src
             | exception Sys_error msg ->
                 Error (Diag.make ~phase:Diag.Eval ~code:"batch.io" msg))
@@ -204,9 +197,7 @@ let prepare_run (t : t) (r : Protocol.run_req) : prepared =
       | Error d ->
           Tenant.settle tenant ~fuel:0 ~mem_delta:0 ~leaked:0 ~ok:false;
           No_source
-            ( Protocol.error_json ~tenant:tenant_name ~file
-                ~extra:Protocol.no_engine_extra d,
-              fuel_grant )
+            (Protocol.error_json ~tenant:tenant_name ~file d, fuel_grant)
       | Ok src ->
           Admitted
             {
@@ -240,138 +231,91 @@ let checkout_for_run (t : t) : Pool.slot =
 let execute_admitted (t : t) (r : Protocol.run_req) (a : admitted)
     (slot : Pool.slot) : Json.t * string option =
   let tenant = a.ad_tenant in
-  let tenant_name = a.ad_name in
-  let file = a.ad_file in
-  let fuel_grant = a.ad_grant in
-  let src = a.ad_src in
   let eng = slot.Pool.eng in
-          (* fresh observation slice: per-request profile attribution and
-             a re-armed leak check *)
-          Terra.Engine.reset_scope ~slice:true eng;
-          let saved_depth = eng.Terra.Engine.lua_depth in
-          (match tenant.Tenant.budget.Tenant.max_call_depth with
-          | Some d -> Terra.Engine.set_limits ~max_call_depth:d eng
-          | None -> ());
-          arm_faults eng r;
-          let live_before = Pool.slot_live_bytes slot in
-          let mark = Terra.Engine.statics_mark eng in
-          (* a fingerprint writes no session byte — only the engine's
-             page-digest cache, which no fingerprint value depends on —
-             so skipping verification during recovery replay cannot
-             diverge the replayed state, and the final per-slot tie-out
-             still catches any corruption *)
-          let fp_before =
-            if t.cfg.verify_rollback && not t.replaying then
-              Some (Terra.Engine.fingerprint ~statics_upto:mark eng)
-            else None
-          in
-          let config =
-            {
-              Supervisor.default_config with
-              breaker = Some tenant.Tenant.breaker;
-              call_fuel = Some fuel_grant;
-              max_retries =
-                Option.value r.Protocol.r_retries
-                  ~default:tenant.Tenant.budget.Tenant.max_retries;
-            }
-          in
-          let o = Supervisor.run_script ~config ~key:tenant_name ~file eng src in
-          (* rollback verification: a failed request must leave the
-             engine byte-identical *)
-          let rollback =
-            match (fp_before, o.Supervisor.result) with
-            | Some fp, Error _ ->
-                if
-                  String.equal fp
-                    (Terra.Engine.fingerprint ~statics_upto:mark eng)
-                then `Verified
-                else `Failed
-            | _ -> `NA
-          in
-          (* per-request leak check (fresh blocks only) *)
-          let leaks = Terra.Engine.leak_report eng in
-          let leaked_bytes = List.fold_left (fun a (_, s) -> a + s) 0 leaks in
-          let live_after = Pool.slot_live_bytes slot in
-          Tenant.settle tenant ~fuel:o.Supervisor.fuel_used
-            ~mem_delta:(live_after - live_before) ~leaked:leaked_bytes
-            ~ok:(Result.is_ok o.Supervisor.result);
-          let anomaly =
-            if rollback = `Failed then Some Pool.Fingerprint
-            else if leaks <> [] then Some Pool.Leak
-            else None
-          in
-          (if anomaly <> None then
-             t.cfg.log
-               (Printf.sprintf "serve: engine %d recycled after %s (%s)"
-                  slot.Pool.id file
-                  (match anomaly with
-                  | Some Pool.Fingerprint -> "fingerprint mismatch"
-                  | _ -> "leak")));
-          (* the engine object survives in [eng] even if the slot is
-             recycled; restore its budgets only when it stays pooled *)
-          let fp_end = ref None in
-          let after =
-            if t.journal <> None && not t.replaying then
-              Some
-                (fun (s : Pool.slot) ->
-                  fp_end := Some (Terra.Engine.fingerprint s.Pool.eng))
-            else None
-          in
-          Pool.checkin ?after t.pool slot ~anomaly;
-          if slot.Pool.eng == eng then
-            Terra.Engine.set_limits ~max_call_depth:saved_depth eng;
-          let code, message =
-            match o.Supervisor.result with
-            | Ok _ -> (None, None)
-            | Error d -> (Some d.Diag.code, Some d.Diag.message)
-          in
-          let exit_code =
-            if rollback = `Failed then 3
-            else
-              Protocol.exit_code ~checked:t.cfg.checked
-                ~leaked:(leaks <> [])
-                (Result.map ignore o.Supervisor.result)
-          in
-          let leak_diag =
+  (* fresh observation slice: per-request profile attribution and a
+     re-armed leak check *)
+  Terra.Engine.reset_scope ~slice:true eng;
+  let saved_depth = eng.Terra.Engine.lua_depth in
+  (match tenant.Tenant.budget.Tenant.max_call_depth with
+  | Some d -> Terra.Engine.set_limits ~max_call_depth:d eng
+  | None -> ());
+  arm_faults eng r;
+  let live_before = Pool.slot_live_bytes slot in
+  let config =
+    {
+      Supervisor.default_config with
+      breaker = Some tenant.Tenant.breaker;
+      call_fuel = Some a.ad_grant;
+      max_retries =
+        Option.value r.Protocol.r_retries
+          ~default:tenant.Tenant.budget.Tenant.max_retries;
+    }
+  in
+  (* a fingerprint writes no session byte — only the engine's
+     page-digest cache, which no fingerprint value depends on — so
+     skipping verification during recovery replay cannot diverge the
+     replayed state, and the final per-slot tie-out still catches any
+     corruption *)
+  let o =
+    Supervisor.run_script ~config ~key:a.ad_name ~file:a.ad_file
+      ~verify_rollback:(t.cfg.verify_rollback && not t.replaying)
+      eng a.ad_src
+  in
+  (* per-request leak check (fresh blocks only) *)
+  let leaks = Terra.Engine.leak_report eng in
+  let leaked_bytes = List.fold_left (fun a (_, s) -> a + s) 0 leaks in
+  Tenant.settle tenant ~fuel:o.Supervisor.fuel_used
+    ~mem_delta:(Pool.slot_live_bytes slot - live_before)
+    ~leaked:leaked_bytes ~ok:(Result.is_ok o.Supervisor.result);
+  let anomaly =
+    match o.Supervisor.rollback with
+    | Supervisor.Mismatch _ -> Some Pool.Fingerprint
+    | _ -> if leaks <> [] then Some Pool.Leak else None
+  in
+  (if anomaly <> None then
+     t.cfg.log
+       (Printf.sprintf "serve: engine %d recycled after %s (%s)" slot.Pool.id
+          a.ad_file
+          (if anomaly = Some Pool.Fingerprint then "fingerprint mismatch"
+           else "leak")));
+  (* the engine object survives in [eng] even if the slot is recycled;
+     restore its budgets only when it stays pooled *)
+  let fp_end = ref None in
+  let after =
+    if t.journal <> None && not t.replaying then
+      Some
+        (fun (s : Pool.slot) ->
+          fp_end := Some (Terra.Engine.fingerprint s.Pool.eng))
+    else None
+  in
+  Pool.checkin ?after t.pool slot ~anomaly;
+  if slot.Pool.eng == eng then
+    Terra.Engine.set_limits ~max_call_depth:saved_depth eng;
+  let resp =
+    Protocol.entry_json
+      (Batch.entry_of_outcome ~file:a.ad_file ~tenant:a.ad_name o)
+      ~extra:
+        [
+          ("engine", Json.Int slot.Pool.id);
+          ( "exit",
+            Json.Int
+              (Supervisor.exit_code ~rollback:o.Supervisor.rollback
+                 ~leaked:(t.cfg.checked && leaks <> [])
+                 o.Supervisor.result) );
+          ( "rollback",
+            match o.Supervisor.rollback with
+            | Supervisor.Verified _ -> Json.Str "verified"
+            | Supervisor.Mismatch _ -> Json.Str "failed"
+            | Supervisor.Unverified -> Json.Null );
+          ("leaked_bytes", Json.Int leaked_bytes);
+          ( "leak",
             match Terra.Engine.leak_diag eng with
             | Some d when leaks <> [] -> Json.Str d.Diag.message
-            | _ -> Json.Null
-          in
-          let resp =
-            Protocol.entry_json
-              {
-                Batch.e_file = file;
-                e_status =
-                  (if Result.is_ok o.Supervisor.result then "ok" else "error");
-                e_code =
-                  (if rollback = `Failed then Some "serve.fingerprint-mismatch"
-                   else code);
-                e_message = message;
-                e_attempts = o.Supervisor.attempts;
-                e_retries = o.Supervisor.retries;
-                e_backoff = o.Supervisor.backoff_total;
-                e_fuel = o.Supervisor.fuel_used;
-                e_fallback = o.Supervisor.fallback;
-                e_divergence =
-                  Option.map (fun d -> d.Diag.code) o.Supervisor.divergence;
-                e_output = o.Supervisor.output;
-                e_tenant = tenant_name;
-              }
-              ~extra:
-                [
-                  ("engine", Json.Int slot.Pool.id);
-                  ("exit", Json.Int exit_code);
-                  ( "rollback",
-                    match rollback with
-                    | `Verified -> Json.Str "verified"
-                    | `Failed -> Json.Str "failed"
-                    | `NA -> Json.Null );
-                  ("leaked_bytes", Json.Int leaked_bytes);
-                  ("leak", leak_diag);
-                  ("recycled", Json.Bool (anomaly <> None));
-                ]
-          in
-          (resp, !fp_end)
+            | _ -> Json.Null );
+          ("recycled", Json.Bool (anomaly <> None));
+        ]
+  in
+  (resp, !fp_end)
 
 (* One run request end to end, on the calling domain.  [begun] fires
    once the admission decision and any slot assignment are known,
@@ -430,16 +374,13 @@ let profile_json (t : t) =
     Array.to_list
       (Array.map
          (fun (s : Pool.slot) ->
-           let prof =
-             match Json.of_string (Terra.Engine.profile_json s.Pool.eng) with
-             | Ok j -> j
-             | Error msg -> Json.Str ("unparseable profile: " ^ msg)
-           in
            Json.Obj
              [
                ("id", Json.Int s.Pool.id);
                ("served", Json.Int s.Pool.served);
-               ("profile", prof);
+               ( "profile",
+                 Tprof.Report.to_json_value (Terra.Engine.profile s.Pool.eng)
+               );
              ])
          t.pool.Pool.slots)
   in
@@ -591,14 +532,14 @@ let handle (t : t) (line : string) :
         | Error d ->
             begun ~slot:None ~adm:Durable.Unrecorded;
             bump_served t;
-            (Protocol.error_json ~extra:Protocol.no_engine_extra d, None)
+            (Protocol.error_json d, None)
         | Ok _ -> assert false
       in
       journal_end t ~seq:!seq ~resp ~fp;
       Some (resp, `Continue)
 
 let oversize_resp (t : t) (len : int) : Json.t =
-  Protocol.error_json ~extra:Protocol.no_engine_extra
+  Protocol.error_json
     (Protocol.bad_request "request line of %d bytes exceeds the %d-byte cap"
        len t.cfg.max_line_bytes)
 
@@ -963,7 +904,7 @@ let run_channels (t : t) (ic : in_channel) (oc : out_channel) : int =
                 Pool.checkin t.pool slot ~anomaly:(Some Pool.Fingerprint);
                 Tenant.settle a.ad_tenant ~fuel:0 ~mem_delta:0 ~leaked:0
                   ~ok:false;
-                ( Protocol.error_json ~extra:Protocol.no_engine_extra
+                ( Protocol.error_json
                     (Diag.make ~phase:Diag.Run ~code:"serve.internal"
                        (Printexc.to_string e)),
                   None )
@@ -997,7 +938,7 @@ let run_channels (t : t) (ic : in_channel) (oc : out_channel) : int =
             loop pool
         | Error d ->
             refuse (Durable.Line line)
-              (Protocol.error_json ~extra:Protocol.no_engine_extra d);
+              (Protocol.error_json d);
             loop pool)
   in
   let mask = sigmask Unix.SIG_BLOCK in

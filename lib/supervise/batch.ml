@@ -1,16 +1,20 @@
-(** Batch front end: run many Lua–Terra scripts against one shared
-    engine, each under the supervisor with its own budgets, and emit a
-    per-request JSON report.
+(** Batch front end: run many Lua–Terra scripts, each isolated and
+    under the supervisor with its own budgets, and emit a per-request
+    JSON report.
 
     Manifest format, one request per line:
     {v
     # comment
     path/to/script.t [fuel=N] [retries=N] [tenant=NAME]
     v}
-    Relative paths resolve against the manifest's directory.  Because
-    every request runs transactionally, a faulting script cannot corrupt
-    the shared session: the next request starts from the state the
-    previous successful request committed.
+    Relative paths resolve against the manifest's directory.
+
+    Isolation is the contract: every request starts from its engine's
+    factory baseline, so no request sees what another one left behind —
+    not its heap blocks, not the C PRNG it advanced, not its breaker
+    state.  A row is therefore a function of its manifest line alone,
+    and the report is byte-identical however many worker domains drain
+    the manifest.
 
     The same option grammar budgets requests for the serving layer
     ([Serve]): a serve request line is a manifest line, parsed by
@@ -169,95 +173,82 @@ let error_entry ~file ~tenant (d : Terra.Diag.t) : entry =
     e_tenant = tenant;
   }
 
-(** Run [reqs] in order against [eng], each under the supervisor.  All
-    requests share one circuit breaker (from [config], or a fresh one);
-    untenanted requests break per-script (key = file) as before, while a
-    [tenant=NAME] annotation pools the tenant's requests under one
-    breaker key, so one misbehaving tenant trips its own circuit without
-    touching anyone else's. *)
-let run_one ~(config : Supervisor.config) ~breaker (eng : Terra.Engine.t)
+(** The row for a supervised run.  A rollback that did not restore the
+    session overrides the diagnostic's code. *)
+let entry_of_outcome ~file ~tenant (o : Supervisor.outcome) : entry =
+  let code, message =
+    match o.Supervisor.result with
+    | Ok _ -> (None, None)
+    | Error d ->
+        ( Some
+            (match o.Supervisor.rollback with
+            | Supervisor.Mismatch _ -> "serve.fingerprint-mismatch"
+            | _ -> d.Terra.Diag.code),
+          Some d.Terra.Diag.message )
+  in
+  {
+    e_file = file;
+    e_status = (if Result.is_ok o.Supervisor.result then "ok" else "error");
+    e_code = code;
+    e_message = message;
+    e_attempts = o.Supervisor.attempts;
+    e_retries = o.Supervisor.retries;
+    e_backoff = o.Supervisor.backoff_total;
+    e_fuel = o.Supervisor.fuel_used;
+    e_fallback = o.Supervisor.fallback;
+    e_divergence =
+      Option.map (fun d -> d.Terra.Diag.code) o.Supervisor.divergence;
+    e_output = o.Supervisor.output;
+    e_tenant = tenant;
+  }
+
+(* One request on [eng], which the caller has put at its baseline.  The
+   breaker key is the tenant (or the file): it seeds the retry backoff,
+   while the breaker itself is left out — a fresh breaker per request
+   could never open. *)
+let run_one ~(config : Supervisor.config) (eng : Terra.Engine.t)
     (req : request) : entry =
   let file = req.req_file in
+  let tenant = tenant_of req in
   match read_file file with
   | exception Sys_error msg ->
-      error_entry ~file ~tenant:(tenant_of req)
+      error_entry ~file ~tenant
         (Terra.Diag.make ~phase:Terra.Diag.Eval ~code:"batch.io" msg)
   | src ->
-      let cfg =
+      let config =
         {
           config with
-          Supervisor.breaker = Some breaker;
+          Supervisor.breaker = None;
           call_fuel =
             (match req.req_fuel with
             | Some _ as f -> f
             | None -> config.Supervisor.call_fuel);
           max_retries =
-            (match req.req_retries with
-            | Some n -> n
-            | None -> config.Supervisor.max_retries);
+            Option.value req.req_retries ~default:config.Supervisor.max_retries;
         }
       in
-      let o =
-        Supervisor.run_script ~config:cfg ?key:req.req_tenant ~file eng src
-      in
-      let code, message =
-        match o.Supervisor.result with
-        | Ok _ -> (None, None)
-        | Error d -> (Some d.Terra.Diag.code, Some d.Terra.Diag.message)
-      in
-      {
-        e_file = file;
-        e_status =
-          (if Result.is_ok o.Supervisor.result then "ok" else "error");
-        e_code = code;
-        e_message = message;
-        e_attempts = o.Supervisor.attempts;
-        e_retries = o.Supervisor.retries;
-        e_backoff = o.Supervisor.backoff_total;
-        e_fuel = o.Supervisor.fuel_used;
-        e_fallback = o.Supervisor.fallback;
-        e_divergence =
-          Option.map (fun d -> d.Terra.Diag.code) o.Supervisor.divergence;
-        e_output = o.Supervisor.output;
-        e_tenant = tenant_of req;
-      }
+      entry_of_outcome ~file ~tenant
+        (Supervisor.run_script ~config ?key:req.req_tenant ~file eng src)
 
-let run_requests ?(config = Supervisor.default_config)
-    (eng : Terra.Engine.t) (reqs : request list) : entry list =
-  let breaker =
-    match config.Supervisor.breaker with
-    | Some b -> b
-    | None -> Policy.breaker ()
-  in
-  List.map (fun req -> run_one ~config ~breaker eng req) reqs
+(** Run [reqs] isolated on [jobs] worker domains (default 1) drawn from
+    a {!Tpool.Pool}.  Worker [w] owns engine [w], built by [make_engine]
+    on that domain the first time it is needed, and snapshots it as its
+    factory baseline.  Before every request the worker restores that
+    baseline and starts a fresh observation slice
+    ({!Terra.Engine.reset_scope} [~slice:true]: profile counters, Topt
+    statistics, C PRNG, leak mark).  Rows come back in manifest order.
 
-(* ------------------------------------------------------------------ *)
-(* Parallel execution.  [jobs] worker domains drain the request list
-   through a {!Tpool.Pool}; worker [w] owns engine [w] exclusively, so
-   no engine is ever touched by two domains.  Entries come back in
-   manifest order regardless of which worker ran what.
-
-   The parallel path trades the sequential path's shared-session
-   semantics for full request independence: every request starts from
-   its worker engine restored to the factory-fresh baseline snapshot
-   (so heap addresses, interned statics, and fuel deltas cannot depend
-   on which requests ran before it on that engine) and supervises under
-   its own circuit breaker.  That independence is what makes the merged
-   report a pure function of the manifest: [jobs=4] is byte-identical
-   to [jobs=1], which the CI parallel gate asserts.  The engine-wide
-   profile is per-engine state and is deliberately absent from parallel
-   reports. *)
-
-let run_requests_par ?(config = Supervisor.default_config) ~jobs
+    The second result merges the profile slice of every request whose
+    engine profiles (empty when none does).  Each slice is taken before
+    the next restore, while its function ids still name its functions. *)
+let run ?(config = Supervisor.default_config) ?(jobs = 1)
     ~(make_engine : unit -> Terra.Engine.t) (reqs : request list) :
-    entry list =
-  if jobs < 1 then invalid_arg "Batch.run_requests_par: jobs must be >= 1";
-  (* per-worker engine + pristine baseline, created lazily on the worker
-     domain itself so even engine construction parallelizes *)
+    entry list * Tprof.Report.t =
+  if jobs < 1 then invalid_arg "Batch.run: jobs must be >= 1";
   let slots : (Terra.Engine.t * Terra.Engine.snapshot) option array =
     Array.make jobs None
   in
-  let entries =
+  let results =
     Tpool.Pool.with_pool ~domains:jobs (fun pool ->
         Tpool.Pool.map_workers pool
           (fun ~worker req ->
@@ -271,71 +262,61 @@ let run_requests_par ?(config = Supervisor.default_config) ~jobs
                   pair
             in
             Terra.Engine.restore_snap eng baseline;
-            run_one ~config ~breaker:(Policy.breaker ()) eng req)
+            Terra.Engine.reset_scope ~slice:true eng;
+            let entry = run_one ~config eng req in
+            let profile =
+              if (Terra.Engine.probe eng).Tprof.Probe.on then
+                Some (Terra.Engine.profile eng)
+              else None
+            in
+            (entry, profile))
           (Array.of_list reqs))
+    |> Array.to_list
   in
-  Array.to_list entries
+  (List.map fst results, Tprof.Report.merge (List.filter_map snd results))
 
 (* ------------------------------------------------------------------ *)
 (* JSON report *)
 
-let json_str s = "\"" ^ Tprof.Json.escape s ^ "\""
-let json_opt = function Some s -> json_str s | None -> "null"
+(** The report fields of a row, shared with the serve responses. *)
+let entry_fields e : (string * Tprof.Json.t) list =
+  let module J = Tprof.Json in
+  let opt = function Some s -> J.Str s | None -> J.Null in
+  [
+    ("file", J.Str e.e_file);
+    ("status", J.Str e.e_status);
+    ("code", opt e.e_code);
+    ("message", opt e.e_message);
+    ("attempts", J.Int e.e_attempts);
+    ("retries", J.Int e.e_retries);
+    ("backoff", J.Int e.e_backoff);
+    ("fuel", J.Int e.e_fuel);
+    ("fallback", J.Bool e.e_fallback);
+    ("divergence", opt e.e_divergence);
+    ("output", J.Str e.e_output);
+    ("tenant", J.Str e.e_tenant);
+  ]
 
-let entry_to_json e =
-  Printf.sprintf
-    "{\"file\": %s, \"status\": %s, \"code\": %s, \"message\": %s, \
-     \"attempts\": %d, \"retries\": %d, \"backoff\": %d, \"fuel\": %d, \
-     \"fallback\": %b, \"divergence\": %s, \"output\": %s, \"tenant\": %s}"
-    (json_str e.e_file) (json_str e.e_status) (json_opt e.e_code)
-    (json_opt e.e_message) e.e_attempts e.e_retries e.e_backoff e.e_fuel
-    e.e_fallback (json_opt e.e_divergence) (json_str e.e_output)
-    (json_str e.e_tenant)
+(** Render the report: schema header and one row per request. *)
+let to_json entries =
+  let row e = Tprof.Json.to_string (Tprof.Json.Obj (entry_fields e)) in
+  "{\n  \"schema\": \"terra-batch-2\",\n  \"requests\": [\n    "
+  ^ String.concat ",\n    " (List.map row entries)
+  ^ "\n  ]\n}\n"
 
-(** Render the whole report: schema header, per-request rows, and the
-    engine-wide profile accumulated across all requests. *)
-let to_json ?profile entries =
-  let requests =
-    "[\n    " ^ String.concat ",\n    " (List.map entry_to_json entries) ^ "\n  ]"
+(** Run a manifest end to end: parse, {!run}, render.  A malformed
+    manifest is a single [batch.bad-manifest] error row, not an
+    exception.  Returns the JSON report, the merged profile, and the
+    exit code (0 if every request succeeded, 1 otherwise). *)
+let run_manifest ?config ?jobs ~make_engine manifest_path :
+    string * Tprof.Report.t * int =
+  let entries, profile =
+    match parse_manifest manifest_path with
+    | Ok reqs -> run ?config ?jobs ~make_engine reqs
+    | Error d ->
+        ( [ error_entry ~file:manifest_path ~tenant:default_tenant d ],
+          Tprof.Report.merge [] )
   in
-  let profile_field =
-    match profile with
-    | Some p -> ",\n  \"profile\": " ^ p
-    | None -> ""
-  in
-  "{\n  \"schema\": \"terra-batch-2\",\n  \"requests\": " ^ requests
-  ^ profile_field ^ "\n}\n"
-
-(** Did every request succeed? *)
-let all_ok entries = List.for_all (fun e -> e.e_status = "ok") entries
-
-(* Parse a manifest and run its requests; a malformed manifest is a
-   single [batch.bad-manifest] error row, not an exception. *)
-let manifest_entries manifest_path run =
-  match parse_manifest manifest_path with
-  | Ok reqs -> run reqs
-  | Error d -> [ error_entry ~file:manifest_path ~tenant:default_tenant d ]
-
-(** Run a manifest end to end: parse, execute against [eng], render.
-    The report carries the engine's profile when its probe has profiling
-    on.  Returns the JSON report and the suggested exit code (0 if every
-    request succeeded, 1 otherwise). *)
-let run_manifest ?config eng manifest_path : string * int =
-  let entries = manifest_entries manifest_path (run_requests ?config eng) in
-  let probe = Terra.Context.probe eng.Terra.Engine.ctx in
-  let profile =
-    if probe.Tprof.Probe.on then Some (Terra.Engine.profile_json eng) else None
-  in
-  (to_json ?profile entries, if all_ok entries then 0 else 1)
-
-(** Parallel {!run_manifest}: [jobs] worker domains, rows merged in
-    manifest order.  The report is a pure function of the manifest —
-    identical for every [jobs] value (see {!run_requests_par}); it never
-    carries the engine-wide profile. *)
-let run_manifest_par ?config ~jobs ~make_engine manifest_path : string * int
-    =
-  let entries =
-    manifest_entries manifest_path
-      (run_requests_par ?config ~jobs ~make_engine)
-  in
-  (to_json entries, if all_ok entries then 0 else 1)
+  ( to_json entries,
+    profile,
+    if List.for_all (fun e -> e.e_status = "ok") entries then 0 else 1 )

@@ -33,6 +33,14 @@ let default_config =
     opt_fallback = true;
   }
 
+(** What [run_script ~verify_rollback:true] found after a failed run:
+    the session fingerprint it took before the run, and after the
+    rollback. *)
+type rollback =
+  | Unverified  (** verification off, or the run succeeded *)
+  | Verified of string  (** the fingerprint the rollback restored *)
+  | Mismatch of string * string  (** before, after: rollback is broken *)
+
 type outcome = {
   result : (V.t list, Diag.t) result;
   attempts : int;  (** total attempts executed (>= 1 unless rejected) *)
@@ -44,6 +52,7 @@ type outcome = {
       (** [supervise.opt-divergence] when opt 0 succeeded where the
           optimized build faulted *)
   output : string;  (** captured output of the last attempt (scripts) *)
+  rollback : rollback;
 }
 
 (** Where supervision events (retries, breaker transitions, fallbacks)
@@ -108,6 +117,7 @@ let supervise ~(config : config) ~key ~(vm : Tvm.Vm.t)
       fallback = false;
       divergence = None;
       output = "";
+      rollback = Unverified;
     }
   in
   let admit =
@@ -180,6 +190,7 @@ let supervise ~(config : config) ~key ~(vm : Tvm.Vm.t)
         fallback = !fallback;
         divergence = !divergence;
         output;
+        rollback = Unverified;
       }
 
 let engine_vm (eng : Terra.Engine.t) =
@@ -211,9 +222,17 @@ let call ?(config = default_config) (eng : Terra.Engine.t) name args :
     [?key] overrides the breaker/backoff identity (default: the file
     name).  The serving layer passes the tenant name, so all of a
     tenant's requests share one circuit regardless of which scripts they
-    run. *)
+    run.
+
+    With [~verify_rollback:true] the session is fingerprinted before the
+    run (statics up to the current mark: heap bytes, allocator
+    bookkeeping, shadow map), and a failed run must leave the same
+    fingerprint; [rollback] carries the verdict. *)
 let run_script ?(config = default_config) ?key ?file
-    (eng : Terra.Engine.t) src : outcome =
+    ?(verify_rollback = false) (eng : Terra.Engine.t) src : outcome =
+  let mark = Terra.Engine.statics_mark eng in
+  let fingerprint () = Terra.Engine.fingerprint ~statics_upto:mark eng in
+  let before = if verify_rollback then Some (fingerprint ()) else None in
   let ctx = eng.Terra.Engine.ctx in
   let saved_opt = ctx.Terra.Context.opt_level in
   let degrade =
@@ -227,11 +246,32 @@ let run_script ?(config = default_config) ?key ?file
     | None, Some f -> f
     | None, None -> "<script>"
   in
-  Fun.protect
-    ~finally:(fun () -> ctx.Terra.Context.opt_level <- saved_opt)
-    (fun () ->
-      supervise ~config ~key ~vm:(engine_vm eng)
-        ~attempt:(fun () ->
-          Terra.Engine.reset_scope eng;
-          Terra.Engine.run_capture_transactional ?file eng src)
-        ~degrade ())
+  let o =
+    Fun.protect
+      ~finally:(fun () -> ctx.Terra.Context.opt_level <- saved_opt)
+      (fun () ->
+        supervise ~config ~key ~vm:(engine_vm eng)
+          ~attempt:(fun () ->
+            Terra.Engine.reset_scope eng;
+            Terra.Engine.run_capture_transactional ?file eng src)
+          ~degrade ())
+  in
+  match (before, o.result) with
+  | Some fp, Error _ ->
+      let after = fingerprint () in
+      {
+        o with
+        rollback =
+          (if String.equal fp after then Verified fp else Mismatch (fp, after));
+      }
+  | _ -> o
+
+(** The exit code a one-shot [terra_run] reports for a run: 0 success,
+    1 diagnostic, 2 runtime fault (or [leaked], a leak that counts under
+    checked execution), 3 a rollback that did not restore the session. *)
+let exit_code ?(rollback = Unverified) ~leaked
+    (result : (_, Diag.t) result) : int =
+  match (rollback, result) with
+  | Mismatch _, _ -> 3
+  | _, Ok _ -> if leaked then 2 else 0
+  | _, Error d -> if Diag.is_runtime_fault d then 2 else 1

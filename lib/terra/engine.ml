@@ -86,11 +86,12 @@ let rearm_leak_check t = t.leak_mark <- Context.leaks t.ctx
     fresh Lua namespace or re-evaluating [terra f ...] would trip the
     immutable-definition check.
 
-    With [~slice:true] (the serving layer, between requests) the reset
-    also starts a fresh observation slice on the shared engine: Tprof
-    counters, shadow stack, and event ring are cleared so the next
-    profile covers exactly one request, and the leak check is re-armed
-    so each leak is attributed to the request that introduced it. *)
+    With [~slice:true] (between served or batched requests) the reset
+    also starts a fresh observation slice on the engine: Tprof counters,
+    shadow stack, event ring and the Topt pass statistics are cleared so
+    the next profile covers exactly one request, the modeled C PRNG
+    restarts, and the leak check is re-armed so each leak is attributed
+    to the request that introduced it. *)
 let reset_scope ?(slice = false) t =
   let scope = Mlua.Driver.make_scope ~state:t.interp () in
   (match V.scope_globals scope with
@@ -99,10 +100,9 @@ let reset_scope ?(slice = false) t =
   t.scope <- scope;
   if slice then begin
     Tprof.Probe.reset (Context.probe t.ctx);
-    (* a fresh slice also restarts the modeled C PRNG, so a request's
-       rand() stream never depends on which requests an engine served
-       before it — required for jobs=N batch reports to be byte-
-       identical to the sequential run *)
+    Topt.Stats.reset t.ctx.Context.opt_stats;
+    (* a request's rand() stream never depends on which requests the
+       engine served before it *)
     t.ctx.Context.vm.Tvm.Vm.rand_state <- Tvm.Vm.initial_rand_state;
     rearm_leak_check t
   end
@@ -301,9 +301,6 @@ let profile t = Context.profile t.ctx
 
 (** Deterministic text rendering of {!profile}. *)
 let profile_text t = Tprof.Report.to_text (profile t)
-
-(** JSON rendering of {!profile} (schema [terra-prof-1]). *)
-let profile_json t = Tprof.Report.to_json (profile t)
 
 let name_of t = Tvm.Vm.func_name t.ctx.Context.vm
 

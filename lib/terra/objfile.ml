@@ -113,12 +113,15 @@ let build (fns : (string * Func.t) list) : obj =
             { f with Ir.code })
           ids
       in
-      (* snapshot static data (interned strings, globals' initial values) *)
-      let mem = vm.Vm.mem in
+      (* snapshot static data (interned strings, globals' initial values);
+         statics past the mark are unallocated, hence zero *)
+      let image = Tvm.Mem.statics_image vm.Vm.mem in
+      let used =
+        min statics_len (String.length image - Tvm.Mem.statics_base)
+      in
       let buf = Buffer.create statics_len in
-      for a = Tvm.Mem.statics_base to Tvm.Mem.statics_base + statics_len - 1 do
-        Buffer.add_char buf (Char.chr (Tvm.Mem.get_u8 mem a))
-      done;
+      Buffer.add_substring buf image Tvm.Mem.statics_base used;
+      Buffer.add_string buf (String.make (statics_len - used) '\000');
       {
         o_funcs = Array.of_list funcs;
         o_imports = Array.of_list !imports;
@@ -209,11 +212,11 @@ let instantiate ?machine ?mem_bytes (obj : obj) =
   in
   let vm = Vm.create ?mem_bytes machine in
   Tvm.Builtins.install vm;
-  (* restore statics *)
+  (* restore statics: a fresh VM's first static is [statics_base] *)
+  ignore (Tvm.Mem.alloc_static vm.Vm.mem ~align:1 obj.o_statics_len);
   String.iteri
     (fun i c -> Tvm.Mem.set_u8 vm.Vm.mem (Tvm.Mem.statics_base + i) (Char.code c))
     obj.o_statics;
-  ignore obj.o_statics_len;
   (* map local ids to fresh VM ids; they are assigned densely in order *)
   let first = Vm.declare_func vm obj.o_funcs.(0).Ir.fname in
   Array.iteri

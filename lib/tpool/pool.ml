@@ -1,7 +1,7 @@
 (** A fixed-size domain pool: a hand-rolled work queue over OCaml 5
     [Domain]s with a [Mutex]/[Condition] pair (Domainslib is not a
     dependency of this tree).  Consumers are the parallel autotuner
-    search, [Supervise.Batch ~jobs], and the [terra_serve] request loop.
+    search, [Supervise.Batch.run ~jobs], and the [terra_serve] request loop.
 
     Worker identity is the key design point: every job receives the
     index of the worker domain running it (0 .. size-1), so a caller

@@ -51,6 +51,14 @@ let row_order a b =
       | c -> c)
   | c -> c
 
+let edge_order a b =
+  match compare b.e_ticks a.e_ticks with
+  | 0 -> (
+      match compare a.e_caller b.e_caller with
+      | 0 -> compare a.e_callee b.e_callee
+      | c -> c)
+  | c -> c
+
 let of_probe ?(extra = []) ~name_of (p : Probe.t) =
   let funcs =
     Hashtbl.fold
@@ -82,13 +90,7 @@ let of_probe ?(extra = []) ~name_of (p : Probe.t) =
         }
         :: acc)
       p.edges []
-    |> List.sort (fun a b ->
-           match compare b.e_ticks a.e_ticks with
-           | 0 -> (
-               match compare a.e_caller b.e_caller with
-               | 0 -> compare a.e_callee b.e_callee
-               | c -> c)
-           | c -> c)
+    |> List.sort edge_order
   in
   let phases =
     List.map
@@ -109,6 +111,72 @@ let of_probe ?(extra = []) ~name_of (p : Probe.t) =
     redzone = p.redzone;
     events = p.ring_count;
     events_dropped = Probe.dropped_events p;
+  }
+
+(* Sum rows that share [key], in first-seen order. *)
+let sum_by key add rows =
+  let tbl = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun r ->
+      let k = key r in
+      match Hashtbl.find_opt tbl k with
+      | Some acc -> Hashtbl.replace tbl k (add acc r)
+      | None ->
+          Hashtbl.replace tbl k r;
+          order := k :: !order)
+    rows;
+  List.rev_map (Hashtbl.find tbl) !order
+
+(** One report for several profiled slices (a batch's requests): every
+    counter is summed.  Each slice's function names must already be
+    resolved, since its engine may reuse function ids for other
+    functions afterwards; a function row is keyed by (name, id), an edge
+    by its names, a phase by its name (rows keep first-seen order). *)
+let merge (rs : t list) : t =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
+  let funcs =
+    sum_by
+      (fun f -> (f.f_name, f.f_id))
+      (fun a b ->
+        {
+          a with
+          f_calls = a.f_calls + b.f_calls;
+          f_self = a.f_self + b.f_self;
+          f_total = a.f_total + b.f_total;
+          f_branches = a.f_branches + b.f_branches;
+          f_allocs = a.f_allocs + b.f_allocs;
+          f_alloc_bytes = a.f_alloc_bytes + b.f_alloc_bytes;
+          f_frees = a.f_frees + b.f_frees;
+          f_redzone = a.f_redzone + b.f_redzone;
+        })
+      (List.concat_map (fun r -> r.funcs) rs)
+    |> List.sort row_order
+  in
+  let edges =
+    sum_by
+      (fun e -> (e.e_caller, e.e_callee))
+      (fun a b ->
+        { a with e_calls = a.e_calls + b.e_calls; e_ticks = a.e_ticks + b.e_ticks })
+      (List.concat_map (fun r -> r.edges) rs)
+    |> List.sort edge_order
+  in
+  let phases =
+    sum_by
+      (fun p -> p.p_name)
+      (fun a b -> { a with p_count = a.p_count + b.p_count; p_ms = a.p_ms +. b.p_ms })
+      (List.concat_map (fun r -> r.phases) rs)
+  in
+  {
+    total = sum (fun r -> r.total);
+    funcs;
+    edges;
+    phases;
+    allocs = sum (fun r -> r.allocs);
+    alloc_bytes = sum (fun r -> r.alloc_bytes);
+    frees = sum (fun r -> r.frees);
+    redzone = sum (fun r -> r.redzone);
+    events = sum (fun r -> r.events);
+    events_dropped = sum (fun r -> r.events_dropped);
   }
 
 (* ------------------------------------------------------------------ *)

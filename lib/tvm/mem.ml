@@ -154,11 +154,20 @@ let alloc_static t ~align n =
 
 (* [len < 0] must fault (a negative length slips past an [addr + len]
    upper-bound test), and the upper bound is phrased as a subtraction so
-   a huge [len] cannot wrap [addr + len] around. *)
+   a huge [len] cannot wrap [addr + len] around.  Statics in
+   [statics_ptr, statics_limit) are unallocated: no checkpoint, rollback
+   or default-mark fingerprint covers them, so an access overlapping
+   them faults too (a heap or stack address pays the one
+   [addr < statics_limit] compare). *)
 let check t addr len what =
   if len < 0 then raise (Fault (addr, what ^ " (negative length)"));
   if addr < statics_base || addr > Bytes.length t.bytes - len then
     raise (Fault (addr, what));
+  if
+    addr < statics_limit && addr + len > t.statics_ptr
+    && t.statics_ptr < statics_limit
+  then
+    raise (Fault (addr, what ^ " (unallocated static)"));
   match t.shadow with
   | None -> ()
   | Some sh ->

@@ -1,8 +1,9 @@
 (** Byte-addressed linear memory for compiled Terra code.
 
     Address 0 is the null page and always faults; a static-data region is
-    bump-allocated from [statics_base]; the heap and stack share the rest
-    (heap grows up, stack grows down from [stack_top]). *)
+    bump-allocated from [statics_base], and an access to its unallocated
+    part (at or above {!statics_mark}) faults too; the heap and stack
+    share the rest (heap grows up, stack grows down from [stack_top]). *)
 
 exception Fault of int * string
 

@@ -361,6 +361,39 @@ let plumbing_tests =
             | Ok _ -> Alcotest.fail "recovered without a checkpoint"
             | Error d ->
                 checks "no-checkpoint" "recover.no-checkpoint" d.Diag.code));
+    quick "a run record that pins no grant fails recovery" (fun () ->
+        (* every run record this journal format writes pins its grant;
+           one without it is damage, not a legacy journal to recompute *)
+        let replay name begin_extra =
+          with_dir name (fun dir ->
+              let server = durable_server ~dir () in
+              ignore (feed server (soak_line 1));
+              close_journal server;
+              append_to_wal dir
+                (sealed
+                   ([
+                      ("rec", Json.Str "begin"); ("seq", Json.Int 2);
+                      ("line", Json.Str (soak_line 1)); ("slot", Json.Int 1);
+                    ]
+                   @ begin_extra)
+                ^ "\n"
+                ^ sealed
+                    [
+                      ("rec", Json.Str "end"); ("seq", Json.Int 2);
+                      ("outcome", Json.Str "ok"); ("slot", Json.Int 1);
+                      ("fp", Json.Null);
+                    ]
+                ^ "\n");
+              Server.recover ~config:soak_config ~dir ())
+        in
+        (match replay "grant" [ ("grant", Json.Int 1_000_000) ] with
+        | Ok (server, report) ->
+            checki "the pinned record replays" 2 (jint report "seq");
+            close_journal server
+        | Error d -> Alcotest.failf "pinned record refused: %s" d.Diag.code);
+        match replay "nogrant" [] with
+        | Ok _ -> Alcotest.fail "a run record without a grant recovered"
+        | Error d -> checks "code" "recover.bad-wal" d.Diag.code);
     quick "recovery refuses a mismatched server config" (fun () ->
         with_dir "config" (fun dir ->
             let server = durable_server ~dir () in

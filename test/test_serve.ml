@@ -228,6 +228,22 @@ let hygiene_tests =
         let light = (Engine.profile e).Tprof.Report.total in
         checkb "light request retired work" true (light > 0);
         checkb "slice excludes the heavy request" true (light < heavy);
+        (* the optimizer's pass counts are sliced too: they equal a
+           fresh engine's for the light request alone *)
+        let opt_phases e =
+          List.filter_map
+            (fun (p : Tprof.Report.prow) ->
+              if has_prefix ~prefix:"opt." p.Tprof.Report.p_name then
+                Some (p.Tprof.Report.p_name, p.Tprof.Report.p_count)
+              else None)
+            (Engine.profile e).Tprof.Report.phases
+        in
+        let fresh = Harness.engine ~profile:true () in
+        let _ = Harness.run_ok fresh good_src in
+        checkb "the light request ran optimizer passes" true
+          (opt_phases fresh <> []);
+        Alcotest.(check (list (pair string int)))
+          "opt.* phases cover one request" (opt_phases fresh) (opt_phases e);
         (* determinism: the same request costs the same slice *)
         Engine.reset_scope ~slice:true e;
         let _ = Harness.run_ok e good_src in

@@ -501,13 +501,13 @@ let batch_tests =
         write_file
           (Filename.concat dir "batch.manifest")
           "# smoke manifest\ngood.t fuel=100000\nbad.t retries=1\n";
-        let e = engine () in
-        let json, code =
-          Batch.run_manifest e (Filename.concat dir "batch.manifest")
+        let json, _, code =
+          Batch.run_manifest ~make_engine:engine
+            (Filename.concat dir "batch.manifest")
         in
         checki "a failing request fails the batch" 1 code;
-        let entries =
-          Batch.run_requests e
+        let entries, _ =
+          Batch.run ~make_engine:engine
             (parse_ok (Filename.concat dir "batch.manifest"))
         in
         (match entries with
@@ -524,9 +524,9 @@ let batch_tests =
         (* crude well-formedness: the report mentions both statuses and
            balances its brackets *)
         checkb "mentions ok" true
-          (contains_sub ~sub:"\"status\": \"ok\"" json);
+          (contains_sub ~sub:"\"status\":\"ok\"" json);
         checkb "mentions error" true
-          (contains_sub ~sub:"\"status\": \"error\"" json));
+          (contains_sub ~sub:"\"status\":\"error\"" json));
     quick "requests share the engine but not Lua globals" (fun () ->
         let dir = Filename.temp_file "supervise_batch2" "" in
         Sys.remove dir;
@@ -539,10 +539,8 @@ let batch_tests =
         write_file (Filename.concat dir "b.t")
           "terra f() return 2 end\nprint(f())\n";
         write_file (Filename.concat dir "m") "a.t\nb.t\n";
-        let e = engine () in
-        let entries =
-          Batch.run_requests e
-            (parse_ok (Filename.concat dir "m"))
+        let entries, _ =
+          Batch.run ~make_engine:engine (parse_ok (Filename.concat dir "m"))
         in
         match entries with
         | [ a; b ] ->
@@ -555,16 +553,14 @@ let batch_tests =
         Sys.remove dir;
         Sys.mkdir dir 0o755;
         write_file (Filename.concat dir "m") "nonexistent.t\n";
-        let e = engine () in
         match
-          Batch.run_requests e
-            (parse_ok (Filename.concat dir "m"))
+          Batch.run ~make_engine:engine (parse_ok (Filename.concat dir "m"))
         with
-        | [ entry ] ->
+        | [ entry ], _ ->
             checks "status" "error" entry.Batch.e_status;
             checks "code" "batch.io"
               (Option.value entry.Batch.e_code ~default:"<none>")
-        | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
+        | l, _ -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
     quick "a malformed manifest is a structured diagnostic" (fun () ->
         let bad line =
           match Batch.parse_line ~dir:"." ~line_no:7 line with
@@ -592,8 +588,9 @@ let batch_tests =
             checkb "first bad line wins" true
               (contains_sub ~sub:"line 3" d.Diag.message)
         | Ok _ -> Alcotest.fail "malformed manifest accepted");
-        let e = engine () in
-        let json, code = Batch.run_manifest e (Filename.concat dir "m") in
+        let json, _, code =
+          Batch.run_manifest ~make_engine:engine (Filename.concat dir "m")
+        in
         checki "bad manifest fails the batch" 1 code;
         checkb "report carries the diagnostic" true
           (contains_sub ~sub:"batch.bad-manifest" json));
@@ -611,13 +608,109 @@ let batch_tests =
           "terra f() return 1 end\nprint(f())\n";
         write_file (Filename.concat dir "m")
           "a.t tenant=alice\na.t\n";
-        let e = engine () in
-        match Batch.run_requests e (parse_ok (Filename.concat dir "m")) with
-        | [ a; b ] ->
+        match
+          Batch.run ~make_engine:engine (parse_ok (Filename.concat dir "m"))
+        with
+        | [ a; b ], _ ->
             checks "annotated entry" "alice" a.Batch.e_tenant;
             checks "unannotated entry defaults" Batch.default_tenant
               b.Batch.e_tenant
-        | l -> Alcotest.failf "expected 2 entries, got %d" (List.length l));
+        | l, _ -> Alcotest.failf "expected 2 entries, got %d" (List.length l));
+  ]
+
+(* Isolation: a row depends on its manifest line only — not on what
+   ran before it on the same engine, nor on the worker count. *)
+
+let rand_src =
+  "local C = terralib.includec(\"stdlib.h\")\n\
+   terra r() return C.rand() end\n\
+   print(r())\n"
+
+(* prints the address [malloc] returns: it moves if an earlier
+   request's block survives *)
+let addr_src =
+  "local C = terralib.includec(\"stdlib.h\")\n\
+   terra a() return [int64](C.malloc(16)) end\n\
+   print(a())\n"
+
+let batch_dir name files =
+  let dir = Filename.temp_file name "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  List.iter (fun (f, src) -> write_file (Filename.concat dir f) src) files;
+  dir
+
+let rows ?(checked = false) ?(profile = false) ~jobs dir lines =
+  write_file (Filename.concat dir "m") (String.concat "\n" lines ^ "\n");
+  Batch.run ~jobs
+    ~make_engine:(fun () -> engine ~checked ~profile ())
+    (parse_ok (Filename.concat dir "m"))
+
+let row_json e = Tprof.Json.to_string (Tprof.Json.Obj (Batch.entry_fields e))
+
+let isolation_tests =
+  [
+    quick "rand() rows agree at every jobs and with a single run" (fun () ->
+        let dir = batch_dir "batch_rand" [ ("rand.t", rand_src) ] in
+        let single = run_ok (engine ()) rand_src in
+        let at jobs = fst (rows ~jobs dir (List.init 4 (fun _ -> "rand.t"))) in
+        let one = at 1 in
+        List.iter
+          (fun e ->
+            checks "row output = single-program output" single e.Batch.e_output)
+          one;
+        let json = List.map row_json in
+        checkb "four identical rows" true
+          (List.for_all (String.equal (row_json (List.hd one))) (json one));
+        Alcotest.(check (list string)) "jobs 2" (json one) (json (at 2));
+        Alcotest.(check (list string)) "jobs 4" (json one) (json (at 4)));
+    quick "a leaking request does not move the next request's row" (fun () ->
+        let dir =
+          batch_dir "batch_leak"
+            [
+              ("addr.t", addr_src);
+              ("leak.t", Harness.read_file (Harness.golden "leak.t"));
+              ( "invalid_free.t",
+                Harness.read_file (Harness.golden "invalid_free.t") );
+            ]
+        in
+        List.iter
+          (fun checked ->
+            let alone =
+              fst (rows ~checked ~jobs:1 dir [ "addr.t"; "invalid_free.t" ])
+            in
+            let after_leak =
+              fst
+                (rows ~checked ~jobs:1 dir
+                   [ "leak.t"; "addr.t"; "invalid_free.t" ])
+            in
+            match (alone, after_leak) with
+            | [ a; f ], [ _; a'; f' ] ->
+                checks "malloc address row" (row_json a) (row_json a');
+                checks "invalid-free row" (row_json f) (row_json f');
+                checks "the diagnostic names a heap address"
+                  (if checked then "san.invalid-free" else "trap.free")
+                  (Option.value f.Batch.e_code ~default:"<none>")
+            | _ -> Alcotest.fail "wrong row count")
+          [ false; true ]);
+    quick "merged profile counts do not depend on jobs" (fun () ->
+        let dir =
+          batch_dir "batch_prof"
+            [
+              ("rand.t", rand_src);
+              ("addr.t", addr_src);
+              ("good.t", "terra f() return 40 + 2 end\nprint(f())\n");
+            ]
+        in
+        let lines = [ "rand.t"; "good.t"; "addr.t"; "good.t"; "rand.t" ] in
+        let _, p1 = rows ~profile:true ~jobs:1 dir lines in
+        let _, p3 = rows ~profile:true ~jobs:3 dir lines in
+        checkb "requests retired work" true (p1.Tprof.Report.total > 0);
+        (* the text rendering carries every count and no [ms] *)
+        checks "jobs 1 = jobs 3" (Tprof.Report.to_text p1)
+          (Tprof.Report.to_text p3);
+        let _, off = rows ~jobs:1 dir lines in
+        checki "no profile without profiling" 0 off.Tprof.Report.total);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -692,6 +785,6 @@ let () =
       ("transact", transact_tests);
       ("lua-transact", lua_transact_tests);
       ("supervisor", supervisor_tests);
-      ("batch", batch_tests);
+      ("batch", batch_tests @ isolation_tests);
       ("regressions", regression_tests);
     ]

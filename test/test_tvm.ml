@@ -19,8 +19,16 @@ let new_vm () =
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
+(* An arena whose whole static region is allocated, so the low addresses
+   these tests use as scratch are addressable: statics past the bump
+   pointer fault. *)
+let scratch_mem ?(bytes = 16 * 1024 * 1024) () =
+  let m = Mem.create ~bytes () in
+  ignore (Mem.alloc_static m ~align:1 (Mem.heap_base m - Mem.statics_base));
+  m
+
 let test_mem_roundtrip () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = scratch_mem () in
   Mem.set_i64 m 8192 0x1122334455667788L;
   checki64 "i64" 0x1122334455667788L (Mem.get_i64 m 8192);
   Mem.set_f64 m 8200 3.14159;
@@ -35,7 +43,7 @@ let test_mem_roundtrip () =
   checki "i16 sign extends" (-16657) (Mem.get_i16 m 8214)
 
 let test_mem_little_endian () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = scratch_mem () in
   Mem.set_i32 m 8192 0x04030201l;
   checki "LE byte 0" 1 (Mem.get_u8 m 8192);
   checki "LE byte 3" 4 (Mem.get_u8 m 8195)
@@ -54,7 +62,7 @@ let test_mem_oob_faults () =
     | _ -> false)
 
 let test_mem_negative_len_faults () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = scratch_mem () in
   checkb "negative blit length traps" true
     (match Mem.blit m ~src:8192 ~dst:9000 ~len:(-1) with
     | exception Mem.Fault (_, what) ->
@@ -70,7 +78,7 @@ let test_mem_negative_len_faults () =
 
 let test_mem_len_overflow_faults () =
   (* addr + len wrapping past the arena must not pass the bounds check *)
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = scratch_mem () in
   checkb "huge length traps" true
     (match Mem.fill m 8192 max_int 'x' with
     | exception Mem.Fault _ -> true
@@ -81,14 +89,14 @@ let test_mem_len_overflow_faults () =
     | _ -> false)
 
 let test_cstring_roundtrip () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = scratch_mem () in
   Mem.set_cstring m 9000 "hello terra";
   Alcotest.(check string) "cstring" "hello terra" (Mem.get_cstring m 9000)
 
 let test_cstring_unterminated_bounded () =
   (* a missing NUL must fault after max_cstring bytes, not scan the
      whole arena *)
-  let m = Mem.create ~bytes:(4 * 1024 * 1024) () in
+  let m = scratch_mem ~bytes:(4 * 1024 * 1024) () in
   Mem.fill m Mem.statics_base (Mem.size m - Mem.statics_base) 'a';
   checkb "scan is bounded" true (Mem.max_cstring <= 1 lsl 20);
   checkb "unterminated string traps" true
@@ -100,7 +108,7 @@ let test_cstring_unterminated_bounded () =
     | _ -> false)
 
 let test_blit () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = scratch_mem () in
   Mem.set_i64 m 8192 42L;
   Mem.blit m ~src:8192 ~dst:9000 ~len:8;
   checki64 "copied" 42L (Mem.get_i64 m 9000)
@@ -192,6 +200,52 @@ let prop_malloc_free_balance =
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: the page-digest cache against a from-scratch recompute *)
+
+(* Statics at or above the bump pointer are unallocated: no capture,
+   rollback or default-mark fingerprint covers them, so loads and stores
+   there fault instead of landing where nothing sees them. *)
+let test_unallocated_statics_fault () =
+  List.iter
+    (fun checked ->
+      let mk () =
+        Vm.create ~mem_bytes:(16 * 1024 * 1024) ~checked
+          (Tmachine.Machine.create Tmachine.Config.test_tiny)
+      in
+      let vm = mk () in
+      let m = vm.Vm.mem in
+      let a = Mem.alloc_static m ~align:8 16 in
+      Mem.set_i64 m a 7L;
+      checki64 "allocated statics stay addressable" 7L (Mem.get_i64 m a);
+      let mark = Mem.statics_mark m in
+      let top = Mem.heap_base m in
+      let faults name f =
+        checkb name true
+          (match f () with exception Mem.Fault _ -> true | () -> false)
+      in
+      faults "store at the mark" (fun () -> Mem.set_u8 m mark 1);
+      faults "store straddling the mark" (fun () ->
+          Mem.set_i64 m (mark - 4) 1L);
+      faults "store below the heap" (fun () -> Mem.set_i32 m (top - 4) 1l);
+      faults "load past the mark" (fun () ->
+          ignore (Mem.get_u8 m (mark + 100)));
+      faults "load below the heap" (fun () -> ignore (Mem.get_i64 m (top - 8)));
+      faults "fill past the mark" (fun () -> Mem.fill m mark 8 'x');
+      (* nothing reached the arena: a restored copy agrees even on a
+         fingerprint that covers the whole static region *)
+      let vm2 = mk () in
+      Session.restore vm2 (Session.capture vm);
+      List.iter
+        (fun upto ->
+          Alcotest.(check string)
+            (Printf.sprintf "restored copy, statics up to %#x" upto)
+            (Vm.fingerprint ~statics_upto:upto vm)
+            (Vm.fingerprint ~statics_upto:upto vm2))
+        [ mark; top ];
+      Alcotest.(check string)
+        "cache = recompute"
+        (Vm.fingerprint ~from_scratch:true ~statics_upto:top vm)
+        (Vm.fingerprint ~statics_upto:top vm))
+    [ false; true ]
 
 (* One step of a random session history.  Addresses are a page plus an
    offset, and the offsets favour the last bytes of a page, so multi-byte
@@ -295,6 +349,9 @@ let fp_vm checked =
     Vm.create ~mem_bytes:fp_arena ~checked
       (Tmachine.Machine.create Tmachine.Config.test_tiny)
   in
+  (* the statics pages it fills must be allocated; [Static] ops bump the
+     mark further *)
+  ignore (Mem.alloc_static vm.Vm.mem ~align:1 (7 * 4096));
   List.iteri
     (fun i region ->
       for p = 0 to 6 do
@@ -1171,6 +1228,8 @@ let () =
           Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "static alloc aligned" `Quick
             test_alloc_static_aligned;
+          Alcotest.test_case "unallocated statics fault" `Quick
+            test_unallocated_statics_fault;
           QCheck_alcotest.to_alcotest prop_fingerprint_audit;
         ] );
       ( "alloc",
