@@ -32,18 +32,27 @@ for prog in examples/programs/*.t; do
     --fuel 2000000000 "$prog" > /dev/null
 done
 
-echo "== optimizer differential (examples at --opt=0 vs --opt=2) =="
-# Topt must be semantics-preserving: every example program has to print
-# byte-identical output with the optimizer off and fully on.
-opt0_out=$(mktemp) opt2_out=$(mktemp)
-trap 'rm -f "$opt0_out" "$opt2_out"' EXIT
-for prog in examples/programs/*.t; do
+echo "== optimizer differential (programs at --opt=0 vs --opt=1, --opt=2) =="
+# Topt must be semantics-preserving: every example program and every
+# golden test program has to print byte-identical output and exit with
+# the same code with the optimizer off, at level 1 and fully on.
+opt0_out=$(mktemp) optn_out=$(mktemp)
+trap 'rm -f "$opt0_out" "$optn_out"' EXIT
+for prog in examples/programs/*.t test/programs/*.t; do
   echo "-- $prog [opt-diff]"
+  rc0=0
   timeout 120 dune exec bin/terra_run.exe -- --opt=0 --fuel 2000000000 \
-    "$prog" > "$opt0_out"
-  timeout 120 dune exec bin/terra_run.exe -- --opt=2 --fuel 2000000000 \
-    "$prog" > "$opt2_out"
-  diff "$opt0_out" "$opt2_out"
+    "$prog" > "$opt0_out" || rc0=$?
+  for level in 1 2; do
+    rcn=0
+    timeout 120 dune exec bin/terra_run.exe -- --opt=$level \
+      --fuel 2000000000 "$prog" > "$optn_out" || rcn=$?
+    diff "$opt0_out" "$optn_out"
+    if [ "$rc0" -ne "$rcn" ]; then
+      echo "exit-code divergence for $prog: opt0=$rc0 opt$level=$rcn" >&2
+      exit 1
+    fi
+  done
 done
 
 echo "== optimizer fuel reduction (mandelbrot) =="

@@ -5,7 +5,11 @@
     block bodies contain no control flow (every [Jmp]/[Br]/[Ret] marks its
     successor a leader, so terminators are always last), [blocks] is kept
     in layout order with the entry block first, and [to_func] re-linearises
-    in that order, dropping jumps that fall through to the next block. *)
+    in that order, dropping jumps that fall through to the next block.
+
+    Registers are dense in [0..nregs-1] and block ids in [0..next_bid-1],
+    so every per-register and per-block table here and in the passes is
+    an array or a {!Bits} set indexed by the id. *)
 
 module Ir = Tvm.Ir
 
@@ -25,6 +29,45 @@ type block = {
   mutable term : term;
 }
 
+(** Fixed-size bitsets over dense ids. *)
+module Bits = struct
+  type t = int array
+
+  let bpw = Sys.int_size
+  let create n = Array.make ((n + bpw - 1) / bpw) 0
+
+  let mem (s : t) i =
+    let w = i / bpw in
+    w < Array.length s && (s.(w) lsr (i mod bpw)) land 1 <> 0
+
+  let add (s : t) i =
+    let w = i / bpw in
+    s.(w) <- s.(w) lor (1 lsl (i mod bpw))
+
+  let remove (s : t) i =
+    let w = i / bpw in
+    s.(w) <- s.(w) land lnot (1 lsl (i mod bpw))
+
+  let equal (a : t) (b : t) =
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (Array.length a - 1)
+
+  (** [dst := dst ∩ src] *)
+  let inter_into (dst : t) (src : t) =
+    for i = 0 to Array.length dst - 1 do
+      dst.(i) <- dst.(i) land src.(i)
+    done
+end
+
+(** Facts that depend only on the CFG's blocks and edges, not on the
+    instructions: cached on {!t} until a pass that changes blocks or jump
+    targets calls {!invalidate}. *)
+type shape = {
+  by_bid : block option array;  (** indexed by block id *)
+  preds : int list array;  (** unique predecessor ids, by block id *)
+  mutable dom : Bits.t array option;  (** {!dominators}, on first use *)
+}
+
 type t = {
   fname : string;
   nparams : int;
@@ -32,34 +75,51 @@ type t = {
   frame_bytes : int;
   mutable blocks : block list;  (** layout order; entry block first *)
   mutable next_bid : int;
+  mutable shape : shape option;
 }
 
 let entry_bid t = (List.hd t.blocks).bid
-let find t bid = List.find (fun b -> b.bid = bid) t.blocks
 
-let succs b =
+(** Apply [f] to each distinct successor block id. *)
+let iter_succs f b =
   match b.term with
-  | Tjmp l -> [ l ]
-  | Tbr (_, a, b') -> if a = b' then [ a ] else [ a; b' ]
-  | Tret _ -> []
+  | Tjmp l -> f l
+  | Tbr (_, a, b') ->
+      f a;
+      if a <> b' then f b'
+  | Tret _ -> ()
 
-(** Predecessor block ids (unique) for every block. *)
-let preds t =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace tbl b.bid []) t.blocks;
-  List.iter
-    (fun b ->
+(** Blocks indexed by id; [None] for ids not in [t.blocks]. *)
+let index t =
+  let by_bid = Array.make t.next_bid None in
+  List.iter (fun b -> by_bid.(b.bid) <- Some b) t.blocks;
+  by_bid
+
+let invalidate t = t.shape <- None
+
+let shape t =
+  match t.shape with
+  | Some s -> s
+  | None ->
+      let by_bid = index t in
+      (* a block reaches each distinct successor once, so predecessor
+         lists need no deduplication; each lists its predecessors in
+         reverse layout order *)
+      let preds = Array.make t.next_bid [] in
       List.iter
-        (fun s ->
-          match Hashtbl.find_opt tbl s with
-          | Some ps when not (List.mem b.bid ps) ->
-              Hashtbl.replace tbl s (b.bid :: ps)
-          | _ -> ())
-        (succs b))
-    t.blocks;
-  tbl
+        (fun b ->
+          iter_succs
+            (fun s ->
+              if Option.is_some by_bid.(s) then preds.(s) <- b.bid :: preds.(s))
+            b)
+        t.blocks;
+      let s = { by_bid; preds; dom = None } in
+      t.shape <- Some s;
+      s
 
-let pred_list preds bid = try Hashtbl.find preds bid with Not_found -> []
+(** Predecessors of [bid] in a {!shape}'s [preds]. *)
+let pred_list preds bid =
+  if bid < Array.length preds then preds.(bid) else []
 
 (* ------------------------------------------------------------------ *)
 (* Linear IR <-> CFG                                                   *)
@@ -122,6 +182,7 @@ let of_func (f : Ir.func) : t =
     frame_bytes = f.Ir.frame_bytes;
     blocks = List.rev !blocks;
     next_bid = !nb;
+    shape = None;
   }
 
 let to_func (t : t) : Ir.func =
@@ -135,15 +196,16 @@ let to_func (t : t) : Ir.func =
     List.length b.instrs
     + (match b.term with Tjmp l when l = next_of.(i) -> 0 | _ -> 1)
   in
-  let start = Hashtbl.create nb in
+  let start = Array.make t.next_bid (-1) in
   let pc = ref 0 in
   Array.iteri
     (fun i b ->
-      Hashtbl.replace start b.bid !pc;
+      start.(b.bid) <- !pc;
       pc := !pc + size i b)
     blocks;
   let target l =
-    match Hashtbl.find_opt start l with Some p -> p | None -> raise Unsupported
+    if l >= 0 && l < t.next_bid && start.(l) >= 0 then start.(l)
+    else raise Unsupported
   in
   let out = Array.make (max 1 !pc) (Ir.Ret None) in
   let k = ref 0 in
@@ -192,95 +254,116 @@ let speculable = function
 (* Dominators and definition info                                      *)
 (* ------------------------------------------------------------------ *)
 
-module IS = Set.Make (Int)
-
-(** Iterative set-based dominator analysis: dom(entry) = {entry},
-    dom(b) = {b} ∪ ⋂ dom(preds b). *)
-let dominators (t : t) : (int, IS.t) Hashtbl.t =
-  let bids = List.map (fun b -> b.bid) t.blocks in
-  let all = IS.of_list bids in
-  let entry = entry_bid t in
-  let ps = preds t in
-  let dom = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace dom b (if b = entry then IS.singleton entry else all))
-    bids;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b.bid <> entry then begin
-          let inter =
-            match pred_list ps b.bid with
-            | [] -> all
-            | p :: rest ->
-                List.fold_left
-                  (fun acc q -> IS.inter acc (Hashtbl.find dom q))
-                  (Hashtbl.find dom p) rest
-          in
-          let nd = IS.add b.bid inter in
-          if not (IS.equal nd (Hashtbl.find dom b.bid)) then begin
-            Hashtbl.replace dom b.bid nd;
-            changed := true
-          end
-        end)
-      t.blocks
-  done;
-  dom
+(** Iterative dominator analysis over bitsets, to its greatest fixpoint:
+    dom(entry) = {entry}, dom(b) = {b} ∪ ⋂ dom(preds b), starting every
+    other block from the set of all blocks.  A block with no predecessor
+    (unreachable) keeps the full set.  Cached with the shape. *)
+let dominators (t : t) : Bits.t array =
+  let sh = shape t in
+  match sh.dom with
+  | Some d -> d
+  | None ->
+      let n = t.next_bid in
+      let all = Bits.create n in
+      List.iter (fun b -> Bits.add all b.bid) t.blocks;
+      let entry = entry_bid t in
+      let dom = Array.make n [||] in
+      List.iter
+        (fun b ->
+          dom.(b.bid) <-
+            (if b.bid = entry then begin
+               let s = Bits.create n in
+               Bits.add s entry;
+               s
+             end
+             else Array.copy all))
+        t.blocks;
+      let tmp = Bits.create n in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun b ->
+            if b.bid <> entry then begin
+              (match sh.preds.(b.bid) with
+              | [] -> Array.blit all 0 tmp 0 (Array.length tmp)
+              | p :: rest ->
+                  Array.blit dom.(p) 0 tmp 0 (Array.length tmp);
+                  List.iter (fun q -> Bits.inter_into tmp dom.(q)) rest);
+              Bits.add tmp b.bid;
+              if not (Bits.equal tmp dom.(b.bid)) then begin
+                Array.blit tmp 0 dom.(b.bid) 0 (Array.length tmp);
+                changed := true
+              end
+            end)
+          t.blocks
+      done;
+      sh.dom <- Some dom;
+      dom
 
 (** [dominates dom a b]: block [a] dominates block [b]. *)
-let dominates dom a b =
-  match Hashtbl.find_opt dom b with Some s -> IS.mem a s | None -> false
+let dominates (dom : Bits.t array) a b =
+  b < Array.length dom && Bits.mem dom.(b) a
 
 type definfo = {
   def_counts : int array;  (** static definitions per register *)
   use_counts : int array;  (** static uses per register (incl. terminators) *)
-  def_site : (int, int * int) Hashtbl.t;
-      (** reg -> (bid, index) for single-def registers; parameters are
-          implicit defs at (entry, -1) *)
+  site_bid : int array;
+  site_idx : int array;
+      (** [(site_bid.(r), site_idx.(r))] is the (block, index) of the one
+          definition of a register whose count was 1 when [def_info] ran;
+          parameters are implicit defs at (entry, -1) *)
 }
 
 let def_info (t : t) : definfo =
-  let dc = Array.make (max 1 t.nregs) 0 in
-  let uc = Array.make (max 1 t.nregs) 0 in
-  let site = Hashtbl.create 64 in
+  let n = max 1 t.nregs in
+  let dc = Array.make n 0 in
+  let uc = Array.make n 0 in
+  let sb = Array.make n 0 in
+  let si = Array.make n 0 in
   let entry = entry_bid t in
   for r = 0 to t.nparams - 1 do
     dc.(r) <- 1;
-    Hashtbl.replace site r (entry, -1)
+    sb.(r) <- entry;
+    si.(r) <- -1
   done;
-  let def r bid idx =
-    if r >= 0 && r < Array.length dc then begin
-      dc.(r) <- dc.(r) + 1;
-      if dc.(r) = 1 then Hashtbl.replace site r (bid, idx)
-      else Hashtbl.remove site r
-    end
+  let use = function
+    | Ir.R r when r >= 0 && r < n -> uc.(r) <- uc.(r) + 1
+    | _ -> ()
   in
-  let use r = if r >= 0 && r < Array.length uc then uc.(r) <- uc.(r) + 1 in
   List.iter
     (fun b ->
       List.iteri
         (fun i ins ->
-          List.iter use (Ir.reg_uses ins);
-          match Ir.def ins with Some d -> def d b.bid i | None -> ())
+          Ir.iter_uses use ins;
+          let d = Ir.def_reg ins in
+          if d >= 0 && d < n then begin
+            dc.(d) <- dc.(d) + 1;
+            if dc.(d) = 1 then begin
+              sb.(d) <- b.bid;
+              si.(d) <- i
+            end
+          end)
         b.instrs;
       match b.term with
-      | Tbr (Ir.R r, _, _) -> use r
-      | Tret (Some (Ir.R r)) -> use r
+      | Tbr (c, _, _) | Tret (Some c) -> use c
       | _ -> ())
     t.blocks;
-  { def_counts = dc; use_counts = uc; def_site = site }
+  { def_counts = dc; use_counts = uc; site_bid = sb; site_idx = si }
 
 (* ------------------------------------------------------------------ *)
 (* CFG-level simplification                                            *)
 (* ------------------------------------------------------------------ *)
 
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: l -> x = y || mem_int x l
+
 (** Fold constant/trivial branches, thread jumps through empty blocks,
     drop unreachable blocks, and merge single-predecessor chains.
     Returns the number of rewrites performed. *)
 let simplify (t : t) : int =
+  invalidate t;
   let events = ref 0 in
   (* constant or degenerate branches *)
   List.iter
@@ -296,16 +379,13 @@ let simplify (t : t) : int =
       | _ -> ())
     t.blocks;
   (* thread jumps through empty forwarding blocks *)
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace tbl b.bid b) t.blocks;
+  let by_bid = index t in
   let rec resolve visited l =
-    if List.mem l visited then l
+    if mem_int l visited then l
     else
-      match Hashtbl.find_opt tbl l with
-      | Some b when b.instrs = [] -> (
-          match b.term with
-          | Tjmp u when u <> l -> resolve (l :: visited) u
-          | _ -> l)
+      match by_bid.(l) with
+      | Some { instrs = []; term = Tjmp u; _ } when u <> l ->
+          resolve (l :: visited) u
       | _ -> l
   in
   List.iter
@@ -321,63 +401,67 @@ let simplify (t : t) : int =
       | Tret _ -> ())
     t.blocks;
   (* unreachable-block removal (DFS from entry) *)
-  let reach = Hashtbl.create 16 in
+  let alive = Array.make t.next_bid false in
   let rec dfs bid =
-    if not (Hashtbl.mem reach bid) then begin
-      Hashtbl.replace reach bid ();
-      match Hashtbl.find_opt tbl bid with
-      | Some b -> List.iter dfs (succs b)
-      | None -> ()
+    if not alive.(bid) then begin
+      alive.(bid) <- true;
+      match by_bid.(bid) with Some b -> iter_succs dfs b | None -> ()
     end
   in
   dfs (entry_bid t);
-  let kept, dropped =
-    List.partition (fun b -> Hashtbl.mem reach b.bid) t.blocks
-  in
+  let kept, dropped = List.partition (fun b -> alive.(b.bid)) t.blocks in
   List.iter (fun b -> events := !events + 1 + List.length b.instrs) dropped;
   t.blocks <- kept;
-  (* merge single-predecessor straight-line chains *)
+  (* merge single-predecessor straight-line chains.  Each round judges
+     predecessors as they were at its start; a block merged away earlier
+     in the round is skipped, since acting on it would delete its (live)
+     successor while a live block still jumps there *)
+  let npreds = Array.make t.next_bid 0 in
+  let last_pred = Array.make t.next_bid (-1) in
   let changed = ref true in
   while !changed do
     changed := false;
-    let ps = preds t in
+    Array.fill npreds 0 t.next_bid 0;
+    List.iter
+      (fun b ->
+        iter_succs
+          (fun s ->
+            if alive.(s) then begin
+              npreds.(s) <- npreds.(s) + 1;
+              last_pred.(s) <- b.bid
+            end)
+          b)
+      t.blocks;
     let entry = entry_bid t in
     List.iter
       (fun b ->
         match b.term with
-        (* a block merged away earlier in this round is still in the
-           snapshot this iteration walks; acting on it would delete its
-           (live) successor while a live block still jumps there *)
-        | _ when not (List.memq b t.blocks) -> ()
-        | Tjmp c when c <> b.bid && c <> entry -> (
-            match pred_list ps c with
-            | [ p ] when p = b.bid -> (
-                match List.find_opt (fun x -> x.bid = c) t.blocks with
-                | Some cb ->
-                    b.instrs <- b.instrs @ cb.instrs;
-                    b.term <- cb.term;
-                    t.blocks <- List.filter (fun x -> x.bid <> c) t.blocks;
-                    incr events;
-                    changed := true
-                | None -> ())
-            | _ -> ())
+        | Tjmp c
+          when alive.(b.bid) && c <> b.bid && c <> entry && alive.(c)
+               && npreds.(c) = 1 && last_pred.(c) = b.bid -> (
+            match by_bid.(c) with
+            | Some cb ->
+                b.instrs <- b.instrs @ cb.instrs;
+                b.term <- cb.term;
+                alive.(c) <- false;
+                incr events;
+                changed := true
+            | None -> ())
         | _ -> ())
-      t.blocks
+      t.blocks;
+    if !changed then t.blocks <- List.filter (fun b -> alive.(b.bid)) t.blocks
   done;
   !events
 
 (** Reverse postorder over reachable blocks, starting at the entry. *)
 let reverse_postorder (t : t) : int list =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace tbl b.bid b) t.blocks;
-  let seen = Hashtbl.create 16 in
+  let by_bid = (shape t).by_bid in
+  let seen = Array.make t.next_bid false in
   let order = ref [] in
   let rec dfs bid =
-    if not (Hashtbl.mem seen bid) then begin
-      Hashtbl.replace seen bid ();
-      (match Hashtbl.find_opt tbl bid with
-      | Some b -> List.iter dfs (succs b)
-      | None -> ());
+    if not seen.(bid) then begin
+      seen.(bid) <- true;
+      (match by_bid.(bid) with Some b -> iter_succs dfs b | None -> ());
       order := bid :: !order
     end
   in

@@ -31,7 +31,27 @@ type key =
   | Kload of Ir.mty * Ir.operand
   | Kvload of Ir.fk * int * Ir.operand
 
-let sort2 a b = if compare a b <= 0 then (a, b) else (b, a)
+(* Monomorphic operand order and equality, agreeing with the polymorphic
+   [compare] the keys were designed around: R < Ki < Kf, and floats by
+   [Float.compare] (nan equals nan, 0.0 equals -0.0). *)
+let compare_operand a b =
+  match (a, b) with
+  | Ir.R x, Ir.R y -> Int.compare x y
+  | Ir.Ki x, Ir.Ki y -> Int64.compare x y
+  | Ir.Kf x, Ir.Kf y -> Float.compare x y
+  | Ir.R _, _ -> -1
+  | _, Ir.R _ -> 1
+  | Ir.Ki _, Ir.Kf _ -> -1
+  | Ir.Kf _, Ir.Ki _ -> 1
+
+let op_equal a b =
+  match (a, b) with
+  | Ir.R x, Ir.R y -> x = y
+  | Ir.Ki x, Ir.Ki y -> Int64.equal x y
+  | Ir.Kf x, Ir.Kf y -> Float.equal x y
+  | _ -> false
+
+let sort2 a b = if compare_operand a b <= 0 then (a, b) else (b, a)
 
 let commutative_i = function
   | Ir.Add | Mul | Band | Bor | Bxor | Eq | Ne | Mins | Maxs -> true
@@ -64,51 +84,114 @@ let key_of ~allow_loads (ins : Ir.instr) : key option =
   | Ir.Vload (fk, l, _, a) when allow_loads -> Some (Kvload (fk, l, a))
   | _ -> None
 
+(* The enumeration fields are immediates, so [==] is their equality. *)
+let key_equal k1 k2 =
+  match (k1, k2) with
+  | Kibin (o1, a1, b1), Kibin (o2, a2, b2) ->
+      o1 == o2 && op_equal a1 a2 && op_equal b1 b2
+  | Kfbin (f1, o1, a1, b1), Kfbin (f2, o2, a2, b2) ->
+      f1 == f2 && o1 == o2 && op_equal a1 a2 && op_equal b1 b2
+  | Kiun (o1, a1), Kiun (o2, a2) -> o1 == o2 && op_equal a1 a2
+  | Kfun (f1, o1, a1), Kfun (f2, o2, a2) ->
+      f1 == f2 && o1 == o2 && op_equal a1 a2
+  | Klea (b1, i1, s1, d1), Klea (b2, i2, s2, d2) ->
+      s1 = s2 && d1 = d2 && op_equal b1 b2 && op_equal i1 i2
+  | Kcvt (f1, t1, a1), Kcvt (f2, t2, a2) ->
+      f1 == f2 && t1 == t2 && op_equal a1 a2
+  | Kframe o1, Kframe o2 -> o1 = o2
+  | Kvsplat (f1, l1, a1), Kvsplat (f2, l2, a2) ->
+      f1 == f2 && l1 = l2 && op_equal a1 a2
+  | Kvbin (f1, l1, o1, a1, b1), Kvbin (f2, l2, o2, a2, b2) ->
+      f1 == f2 && l1 = l2 && o1 == o2 && op_equal a1 a2 && op_equal b1 b2
+  | Kvun (f1, l1, o1, a1), Kvun (f2, l2, o2, a2) ->
+      f1 == f2 && l1 = l2 && o1 == o2 && op_equal a1 a2
+  | Kvextract (a1, i1), Kvextract (a2, i2) -> i1 = i2 && op_equal a1 a2
+  | Kload (m1, a1), Kload (m2, a2) -> m1 == m2 && op_equal a1 a2
+  | Kvload (f1, l1, a1), Kvload (f2, l2, a2) ->
+      f1 == f2 && l1 = l2 && op_equal a1 a2
+  | _ -> false
+
 let key_is_load = function Kload _ | Kvload _ -> true | _ -> false
 
-let key_regs = function
+(** The key's expression reads register [d]. *)
+let key_reads d k =
+  match k with
   | Kibin (_, a, b) | Kfbin (_, _, a, b) | Kvbin (_, _, _, a, b)
   | Klea (a, b, _, _) ->
-      List.filter_map (function Ir.R r -> Some r | _ -> None) [ a; b ]
+      Simplify.is_reg d a || Simplify.is_reg d b
   | Kiun (_, a) | Kfun (_, _, a) | Kcvt (_, _, a) | Kvsplat (_, _, a)
   | Kvun (_, _, _, a) | Kvextract (a, _) | Kload (_, a) | Kvload (_, _, a) ->
-      List.filter_map (function Ir.R r -> Some r | _ -> None) [ a ]
-  | Kframe _ -> []
+      Simplify.is_reg d a
+  | Kframe _ -> false
+
+(* Add the registers the entry [(k, h)] holds or reads to [bits]. *)
+let mark_op bits = function
+  | Ir.R r -> Cfg.Bits.add bits r
+  | Ir.Ki _ | Ir.Kf _ -> ()
+
+let mark_entry bits (k, h) =
+  Cfg.Bits.add bits h;
+  match k with
+  | Kibin (_, a, b) | Kfbin (_, _, a, b) | Kvbin (_, _, _, a, b)
+  | Klea (a, b, _, _) ->
+      mark_op bits a;
+      mark_op bits b
+  | Kiun (_, a) | Kfun (_, _, a) | Kcvt (_, _, a) | Kvsplat (_, _, a)
+  | Kvun (_, _, _, a) | Kvextract (a, _) | Kload (_, a) | Kvload (_, _, a) ->
+      mark_op bits a
+  | Kframe _ -> ()
+
+let rec assoc_key k = function
+  | [] -> None
+  | (k', h) :: rest -> if key_equal k k' then Some h else assoc_key k rest
+
+(* The table without entries for loads, or that hold or read register
+   [d]; each returns the list itself when nothing goes, so a kill that
+   matches nothing allocates nothing. *)
+let rec drop_loads = function
+  | [] -> []
+  | ((k, _) as e) :: rest as l ->
+      let rest' = drop_loads rest in
+      if key_is_load k then rest' else if rest' == rest then l else e :: rest'
+
+let rec drop_reg d = function
+  | [] -> []
+  | ((k, h) as e) :: rest as l ->
+      let rest' = drop_reg d rest in
+      if h = d || key_reads d k then rest'
+      else if rest' == rest then l
+      else e :: rest'
 
 (** [run ~allow_loads cfg] returns the number of instructions replaced by
     register reuse. *)
 let run ~allow_loads (cfg : Cfg.t) : int =
   let di = Cfg.def_info cfg in
-  let preds = Cfg.preds cfg in
+  let sh = Cfg.shape cfg in
   let events = ref 0 in
-  let blocks = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace blocks b.Cfg.bid b) cfg.Cfg.blocks;
-  (* end-of-block value tables, keyed by block id *)
-  let end_tables : (int, (key * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let rpo = Cfg.reverse_postorder cfg in
+  (* end-of-block value tables, by block id *)
+  let end_tables : (key * int) list option array =
+    Array.make cfg.Cfg.next_bid None
+  in
   List.iter
     (fun bid ->
-      match Hashtbl.find_opt blocks bid with
+      match sh.Cfg.by_bid.(bid) with
       | None -> ()
       | Some b ->
           let tbl =
             (* inherit along a unique forward edge: the predecessor's end
                table is valid on entry when it is the sole predecessor *)
-            match Cfg.pred_list preds bid with
+            match Cfg.pred_list sh.Cfg.preds bid with
             | [ p ] when p <> bid -> (
-                match Hashtbl.find_opt end_tables p with
-                | Some t -> ref t
-                | None -> ref [])
+                match end_tables.(p) with Some t -> ref t | None -> ref [])
             | _ -> ref []
           in
-          let kill_loads () =
-            tbl := List.filter (fun (k, _) -> not (key_is_load k)) !tbl
-          in
+          (* a superset of the registers the table mentions: a kill of
+             any other register has nothing to drop *)
+          let mentioned = Cfg.Bits.create (Array.length di.Cfg.def_counts) in
+          List.iter (mark_entry mentioned) !tbl;
+          let kill_loads () = tbl := drop_loads !tbl in
           let kill_reg d =
-            tbl :=
-              List.filter
-                (fun (k, h) -> h <> d && not (List.mem d (key_regs k)))
-                !tbl
+            if Cfg.Bits.mem mentioned d then tbl := drop_reg d !tbl
           in
           let out = ref [] in
           List.iter
@@ -118,10 +201,12 @@ let run ~allow_loads (cfg : Cfg.t) : int =
               | Ir.Ccall _ ->
                   kill_loads ()
               | _ -> ());
+              let key = key_of ~allow_loads ins in
+              let d = Ir.def_reg ins in
               let replaced =
-                match (key_of ~allow_loads ins, Ir.def ins) with
-                | Some k, Some d -> (
-                    match List.assoc_opt k !tbl with
+                match key with
+                | Some k when d >= 0 -> (
+                    match assoc_key k !tbl with
                     | Some h when h <> d ->
                         incr events;
                         kill_reg d;
@@ -131,15 +216,17 @@ let run ~allow_loads (cfg : Cfg.t) : int =
                 | _ -> false
               in
               if not replaced then begin
-                (match Ir.def ins with Some d -> kill_reg d | None -> ());
-                (match (key_of ~allow_loads ins, Ir.def ins) with
-                | Some k, Some d when di.Cfg.def_counts.(d) = 1 ->
-                    tbl := (k, d) :: !tbl
+                if d >= 0 then kill_reg d;
+                (match key with
+                | Some k when d >= 0 && di.Cfg.def_counts.(d) = 1 ->
+                    let e = (k, d) in
+                    mark_entry mentioned e;
+                    tbl := e :: !tbl
                 | _ -> ());
                 out := ins :: !out
               end)
             b.Cfg.instrs;
           b.Cfg.instrs <- List.rev !out;
-          Hashtbl.replace end_tables bid !tbl)
-    rpo;
+          end_tables.(bid) <- Some !tbl)
+    (Cfg.reverse_postorder cfg);
   !events

@@ -10,7 +10,6 @@
 
 module Ir = Tvm.Ir
 module Vm = Tvm.Vm
-module IS = Cfg.IS
 
 (* ------------------------------------------------------------------ *)
 (* Global copy/constant propagation                                    *)
@@ -19,29 +18,38 @@ module IS = Cfg.IS
 (** Propagate [Mov d, k] and [Mov d, R s] through the whole function when
     [d] is defined exactly once (and, for register copies, [s] is too and
     its definition strictly precedes [d]'s).  A use is rewritten only when
-    the defining Mov dominates it.  The Movs themselves are left for DCE. *)
-let global_copyprop (cfg : Cfg.t) : int =
-  let di = Cfg.def_info cfg in
-  let dom = Cfg.dominators cfg in
-  let site r = Hashtbl.find_opt di.Cfg.def_site r in
-  (* strict "a executes before b" for single-def sites *)
-  let before (ba, ia) (bb, ib) =
-    if ba = bb then ia < ib else Cfg.dominates dom ba bb
+    the defining Mov dominates it.  The Movs themselves are left for DCE.
+    [di] must describe the current code; its use counts are kept up to
+    date through the rewrites. *)
+let global_copyprop (cfg : Cfg.t) (di : Cfg.definfo) : int =
+  let dom = lazy (Cfg.dominators cfg) in
+  let dc = di.Cfg.def_counts and uc = di.Cfg.use_counts in
+  let sb = di.Cfg.site_bid and si = di.Cfg.site_idx in
+  (* strict "the single def of [r] executes before (bid, idx)" *)
+  let before r bid idx =
+    if sb.(r) = bid then si.(r) < idx
+    else Cfg.dominates (Lazy.force dom) sb.(r) bid
   in
-  let cand : (int, Ir.operand) Hashtbl.t = Hashtbl.create 32 in
+  let n = Array.length dc in
+  let has_cand = Array.make n false in
+  let cand = Array.make n (Ir.Ki 0L) in
+  let any = ref false in
+  let add d rhs =
+    has_cand.(d) <- true;
+    cand.(d) <- rhs;
+    any := true
+  in
   List.iter
     (fun b ->
       List.iter
         (fun ins ->
           match ins with
-          | Ir.Mov (d, rhs) when di.Cfg.def_counts.(d) = 1 -> (
+          | Ir.Mov (d, rhs) when dc.(d) = 1 -> (
               match rhs with
-              | Ir.Ki _ | Ir.Kf _ -> Hashtbl.replace cand d rhs
-              | Ir.R s when s <> d && di.Cfg.def_counts.(s) = 1 -> (
-                  match (site s, site d) with
-                  | Some ss, Some sd when before ss sd ->
-                      Hashtbl.replace cand d (Ir.R s)
-                  | _ -> ())
+              | Ir.Ki _ | Ir.Kf _ -> add d rhs
+              | Ir.R s
+                when s <> d && dc.(s) = 1 && before s sb.(d) si.(d) ->
+                  add d rhs
               | _ -> ())
           | _ -> ())
         b.Cfg.instrs)
@@ -49,42 +57,37 @@ let global_copyprop (cfg : Cfg.t) : int =
   (* resolve copy chains: d -> s -> t becomes d -> t *)
   let rec resolve fuel op =
     match op with
-    | Ir.R r when fuel > 0 -> (
-        match Hashtbl.find_opt cand r with
-        | Some next -> resolve (fuel - 1) next
-        | None -> op)
+    | Ir.R r when fuel > 0 && has_cand.(r) -> resolve (fuel - 1) cand.(r)
     | _ -> op
   in
   let events = ref 0 in
-  let rewrite_operand ~usepoint op =
+  let rewrite_operand bid idx op =
     match op with
-    | Ir.R r -> (
-        match Hashtbl.find_opt cand r with
-        | Some _ -> (
-            match site r with
-            | Some sr when before sr usepoint ->
-                let op' = resolve 64 op in
-                if op' <> op then incr events;
-                op'
-            | _ -> op)
-        | None -> op)
+    | Ir.R r when r < n && has_cand.(r) && before r bid idx -> (
+        match resolve 64 op with
+        | Ir.R r' when r' = r -> op
+        | op' ->
+            incr events;
+            uc.(r) <- uc.(r) - 1;
+            (match op' with Ir.R s -> uc.(s) <- uc.(s) + 1 | _ -> ());
+            op')
     | _ -> op
   in
-  List.iter
-    (fun b ->
-      b.Cfg.instrs <-
-        List.mapi
-          (fun i ins ->
-            Ir.map_uses (rewrite_operand ~usepoint:(b.Cfg.bid, i)) ins)
-          b.Cfg.instrs;
-      let tp = (b.Cfg.bid, max_int) in
-      match b.Cfg.term with
-      | Cfg.Tbr (c, x, y) ->
-          b.Cfg.term <- Cfg.Tbr (rewrite_operand ~usepoint:tp c, x, y)
-      | Cfg.Tret (Some v) ->
-          b.Cfg.term <- Cfg.Tret (Some (rewrite_operand ~usepoint:tp v))
-      | _ -> ())
-    cfg.Cfg.blocks;
+  if !any then
+    List.iter
+      (fun b ->
+        let bid = b.Cfg.bid in
+        b.Cfg.instrs <-
+          List.mapi
+            (fun i ins -> Ir.map_uses (rewrite_operand bid i) ins)
+            b.Cfg.instrs;
+        match b.Cfg.term with
+        | Cfg.Tbr (c, x, y) ->
+            b.Cfg.term <- Cfg.Tbr (rewrite_operand bid max_int c, x, y)
+        | Cfg.Tret (Some v) ->
+            b.Cfg.term <- Cfg.Tret (Some (rewrite_operand bid max_int v))
+        | _ -> ())
+      cfg.Cfg.blocks;
   !events
 
 (* ------------------------------------------------------------------ *)
@@ -163,58 +166,91 @@ let peephole_instr (ins : Ir.instr) : Ir.instr option =
 
 type lea_parts = { lp_base : Ir.operand; lp_idx : Ir.operand; lp_scale : int; lp_disp : int }
 
+let no_lea =
+  { lp_base = Ir.Ki 0L; lp_idx = Ir.Ki 0L; lp_scale = 0; lp_disp = 0 }
+let is_reg d = function Ir.R r -> r = d | Ir.Ki _ | Ir.Kf _ -> false
+
+(* An index small enough to fold into a displacement: |i| < 2^28, so
+   [Int64.to_int i * scale] cannot overflow.  Both bounds are explicit
+   because [Int64.abs Int64.min_int] is negative. *)
+let small_index i =
+  Int64.compare i (-0x1000_0000L) > 0 && Int64.compare i 0x1000_0000L < 0
+
 (** Per-block forward walk: propagate constants and copies through an
     environment killed on redefinition, fold instructions whose operands
     became constant, apply peepholes, and merge chained Lea address
-    computations. *)
-let local_simplify (cfg : Cfg.t) : int =
+    computations.
+
+    The environment is a set of per-register arrays shared by all blocks
+    and cleared through the list of registers a block touched.  A
+    reverse index lists, for each register, the entries whose right-hand
+    side reads it, so killing a register visits only those.  The counts
+    in [di] are kept up to date for {!fuse_defs}. *)
+let local_simplify (cfg : Cfg.t) (di : Cfg.definfo) : int =
   let events = ref 0 in
+  let dc = di.Cfg.def_counts and uc = di.Cfg.use_counts in
+  let n = Array.length dc in
+  let const_on = Array.make n false in
+  let const_of = Array.make n (Ir.Ki 0L) in
+  let copy_of = Array.make n (-1) in
+  let lea_on = Array.make n false in
+  let lea_of = Array.make n no_lea in
+  (* readers.(s): registers whose copy or Lea entry read [s]; entries
+     may be stale and are checked when used *)
+  let readers = Array.make n [] in
+  let touched = ref [] in
+  let touch r = touched := r :: !touched in
+  let kill d =
+    const_on.(d) <- false;
+    copy_of.(d) <- -1;
+    lea_on.(d) <- false;
+    List.iter
+      (fun k ->
+        if copy_of.(k) = d then copy_of.(k) <- -1;
+        if lea_on.(k) then begin
+          let lp = lea_of.(k) in
+          if is_reg d lp.lp_base || is_reg d lp.lp_idx then lea_on.(k) <- false
+        end)
+      readers.(d);
+    readers.(d) <- []
+  in
+  let read_by k = function
+    | Ir.R s ->
+        readers.(s) <- k :: readers.(s);
+        touch s
+    | Ir.Ki _ | Ir.Kf _ -> ()
+  in
+  let subst op =
+    match op with
+    | Ir.R r when const_on.(r) ->
+        incr events;
+        uc.(r) <- uc.(r) - 1;
+        const_of.(r)
+    | Ir.R r when copy_of.(r) >= 0 ->
+        incr events;
+        let s = copy_of.(r) in
+        uc.(r) <- uc.(r) - 1;
+        uc.(s) <- uc.(s) + 1;
+        Ir.R s
+    | _ -> op
+  in
+  (* a rewrite that changes an instruction's operands moves its uses *)
+  let unuse = function Ir.R r -> uc.(r) <- uc.(r) - 1 | _ -> () in
+  let reuse = function Ir.R r -> uc.(r) <- uc.(r) + 1 | _ -> () in
+  let recount before after =
+    if before != after then begin
+      Ir.iter_uses unuse before;
+      Ir.iter_uses reuse after
+    end
+  in
   List.iter
     (fun b ->
-      let env_const : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
-      let env_copy : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let leas : (int, lea_parts) Hashtbl.t = Hashtbl.create 16 in
-      let kill d =
-        Hashtbl.remove env_const d;
-        Hashtbl.remove env_copy d;
-        Hashtbl.remove leas d;
-        (* drop entries that mention d on their right-hand side *)
-        let stale_copies =
-          Hashtbl.fold
-            (fun k s acc -> if s = d then k :: acc else acc)
-            env_copy []
-        in
-        List.iter (Hashtbl.remove env_copy) stale_copies;
-        let mentions op = op = Ir.R d in
-        let stale_leas =
-          Hashtbl.fold
-            (fun k lp acc ->
-              if mentions lp.lp_base || mentions lp.lp_idx then k :: acc
-              else acc)
-            leas []
-        in
-        List.iter (Hashtbl.remove leas) stale_leas
-      in
-      let subst op =
-        match op with
-        | Ir.R r -> (
-            match Hashtbl.find_opt env_const r with
-            | Some k ->
-                incr events;
-                k
-            | None -> (
-                match Hashtbl.find_opt env_copy r with
-                | Some s ->
-                    incr events;
-                    Ir.R s
-                | None -> op))
-        | _ -> op
-      in
       let out = ref [] in
       List.iter
         (fun ins ->
           let ins = Ir.map_uses subst ins in
           (* fold to a constant Mov if all operands are now constant *)
+          let ins0 = ins in
           let ins =
             match fold_instr ins with
             | Some k -> (
@@ -236,43 +272,54 @@ let local_simplify (cfg : Cfg.t) : int =
              Lea with constant or degenerate index collapses into one *)
           let ins =
             match ins with
-            | Ir.Lea (d, R b, idx, s, o) -> (
-                match Hashtbl.find_opt leas b with
-                | Some lp ->
-                    let base_disp =
-                      match (lp.lp_idx, lp.lp_scale) with
-                      | _, 0 -> Some lp.lp_disp
-                      | Ir.Ki i, sc
-                        when Int64.abs i < 0x1000_0000L ->
-                          Some (lp.lp_disp + (Int64.to_int i * sc))
-                      | _ -> None
-                    in
-                    (match (base_disp, idx) with
-                    | Some bd, _ ->
-                        incr events;
-                        Ir.Lea (d, lp.lp_base, idx, s, o + bd)
-                    | None, Ir.Ki i when Int64.abs i < 0x1000_0000L ->
-                        incr events;
-                        Ir.Lea
-                          (d, lp.lp_base, lp.lp_idx, lp.lp_scale,
-                           o + (Int64.to_int i * s) + lp.lp_disp)
-                    | None, _ -> ins)
-                | None -> ins)
+            | Ir.Lea (d, R b, idx, s, o) when lea_on.(b) -> (
+                let lp = lea_of.(b) in
+                let base_disp =
+                  match (lp.lp_idx, lp.lp_scale) with
+                  | _, 0 -> Some lp.lp_disp
+                  | Ir.Ki i, sc when small_index i ->
+                      Some (lp.lp_disp + (Int64.to_int i * sc))
+                  | _ -> None
+                in
+                match (base_disp, idx) with
+                | Some bd, _ ->
+                    incr events;
+                    Ir.Lea (d, lp.lp_base, idx, s, o + bd)
+                | None, Ir.Ki i when small_index i ->
+                    incr events;
+                    Ir.Lea
+                      (d, lp.lp_base, lp.lp_idx, lp.lp_scale,
+                       o + (Int64.to_int i * s) + lp.lp_disp)
+                | None, _ -> ins)
             | _ -> ins
           in
+          recount ins0 ins;
           (* drop self-moves *)
           match ins with
-          | Ir.Mov (d, R s) when d = s -> incr events
+          | Ir.Mov (d, R s) when d = s ->
+              incr events;
+              dc.(d) <- dc.(d) - 1;
+              uc.(d) <- uc.(d) - 1
           | _ ->
-              (match Ir.def ins with Some d -> kill d | None -> ());
+              (match Ir.def_reg ins with -1 -> () | d -> kill d);
               (match ins with
               | Ir.Mov (d, ((Ir.Ki _ | Ir.Kf _) as k)) ->
-                  Hashtbl.replace env_const d k
-              | Ir.Mov (d, R s) when d <> s -> Hashtbl.replace env_copy d s
+                  const_on.(d) <- true;
+                  const_of.(d) <- k;
+                  touch d
+              | Ir.Mov (d, (R s as src)) when d <> s ->
+                  copy_of.(d) <- s;
+                  read_by d src;
+                  touch d
               | Ir.Lea (d, base, idx, s, o) ->
-                  if base <> Ir.R d && idx <> Ir.R d then
-                    Hashtbl.replace leas d
-                      { lp_base = base; lp_idx = idx; lp_scale = s; lp_disp = o }
+                  if not (is_reg d base || is_reg d idx) then begin
+                    lea_on.(d) <- true;
+                    lea_of.(d) <-
+                      { lp_base = base; lp_idx = idx; lp_scale = s; lp_disp = o };
+                    read_by d base;
+                    read_by d idx;
+                    touch d
+                  end
               | _ -> ());
               out := ins :: !out)
         b.Cfg.instrs;
@@ -280,7 +327,16 @@ let local_simplify (cfg : Cfg.t) : int =
       (match b.Cfg.term with
       | Cfg.Tbr (c, x, y) -> b.Cfg.term <- Cfg.Tbr (subst c, x, y)
       | Cfg.Tret (Some v) -> b.Cfg.term <- Cfg.Tret (Some (subst v))
-      | _ -> ()))
+      | _ -> ());
+      (* the environment is per block *)
+      List.iter
+        (fun r ->
+          const_on.(r) <- false;
+          copy_of.(r) <- -1;
+          lea_on.(r) <- false;
+          readers.(r) <- [])
+        !touched;
+      touched := [])
     cfg.Cfg.blocks;
   !events
 
@@ -291,8 +347,7 @@ let local_simplify (cfg : Cfg.t) : int =
 (** Rewrite [instr w, ...; Mov r, R w] into [instr r, ...] when [w] is
     defined once and used only by that adjacent Mov.  This removes the
     temporary the expression lowerer materializes for every assignment. *)
-let fuse_defs (cfg : Cfg.t) : int =
-  let di = Cfg.def_info cfg in
+let fuse_defs (cfg : Cfg.t) (di : Cfg.definfo) : int =
   let events = ref 0 in
   let set_dest d = function
     | Ir.Mov (_, a) -> Ir.Mov (d, a)
@@ -316,15 +371,20 @@ let fuse_defs (cfg : Cfg.t) : int =
   in
   List.iter
     (fun b ->
-      let rec walk = function
+      (* a block with nothing to fuse keeps its list *)
+      let rec walk l =
+        match l with
         | i1 :: Ir.Mov (r, R w) :: rest
-          when Ir.def i1 = Some w && r <> w
+          when r <> w
                && di.Cfg.def_counts.(w) = 1
-               && di.Cfg.use_counts.(w) = 1 ->
+               && di.Cfg.use_counts.(w) = 1
+               && Ir.def_reg i1 = w ->
             incr events;
             walk (set_dest r i1 :: rest)
-        | i1 :: rest -> i1 :: walk rest
-        | [] -> []
+        | i1 :: rest ->
+            let rest' = walk rest in
+            if rest' == rest then l else i1 :: rest'
+        | [] -> l
       in
       b.Cfg.instrs <- walk b.Cfg.instrs)
     cfg.Cfg.blocks;

@@ -96,7 +96,11 @@ let func_of_addr a =
    spill model, the loaders' validator and the object linker all walk
    instructions through these. *)
 
-let def = function
+(** The register an instruction writes, or [-1] when it writes none:
+    {!def} without the option, for the optimizer's per-instruction walks
+    over compiler output.  IR read from disk goes through {!def}, which
+    also reports a (hostile) negative destination. *)
+let def_reg = function
   | Mov (d, _)
   | Ibin (_, d, _, _)
   | Fbin (_, _, d, _, _)
@@ -110,13 +114,25 @@ let def = function
   | Vun (_, _, _, d, _)
   | Vextract (d, _, _)
   | Cvt (_, _, d, _)
-  | FrameAddr (d, _) ->
-      Some d
+  | FrameAddr (d, _)
+  | Call (Some d, _, _)
+  | Callind (Some d, _, _)
+  | Ccall (Some d, _, _) ->
+      d
+  | Call (None, _, _) | Callind (None, _, _) | Ccall (None, _, _) | Store _
+  | Vstore _ | Prefetch _ | SpillTouch _ | Jmp _ | Br _ | Ret _ ->
+      -1
+
+let def = function
   | Call (d, _, _) | Callind (d, _, _) | Ccall (d, _, _) -> d
   | Store _ | Vstore _ | Prefetch _ | SpillTouch _ | Jmp _ | Br _ | Ret _ ->
       None
+  | ins -> Some (def_reg ins)
 
-let uses = function
+(** Apply [f] to each operand an instruction reads, in order, without
+    building a list: the optimizer's analyses walk every instruction
+    through this. *)
+let iter_uses f = function
   | Mov (_, a)
   | Iun (_, _, a)
   | Fun (_, _, _, a)
@@ -126,50 +142,107 @@ let uses = function
   | Vun (_, _, _, _, a)
   | Vextract (_, a, _)
   | Cvt (_, _, _, a)
-  | Prefetch a ->
-      [ a ]
+  | Prefetch a
+  | Br (a, _, _)
+  | Ret (Some a) ->
+      f a
   | Ibin (_, _, a, b)
   | Fbin (_, _, _, a, b)
   | Lea (_, a, b, _, _)
   | Store (_, a, b)
   | Vstore (_, _, a, b)
   | Vbin (_, _, _, _, a, b) ->
-      [ a; b ]
-  | Call (_, _, args) | Ccall (_, _, args) -> args
-  | Callind (_, f, args) -> f :: args
-  | FrameAddr _ | SpillTouch _ | Jmp _ -> []
-  | Br (c, _, _) -> [ c ]
-  | Ret (Some a) -> [ a ]
-  | Ret None -> []
+      f a;
+      f b
+  | Call (_, _, args) | Ccall (_, _, args) -> List.iter f args
+  | Callind (_, fn, args) ->
+      f fn;
+      List.iter f args
+  | FrameAddr _ | SpillTouch _ | Jmp _ | Ret None -> ()
+
+let uses ins =
+  let acc = ref [] in
+  iter_uses (fun a -> acc := a :: !acc) ins;
+  List.rev !acc
 
 let reg_uses ins =
-  List.filter_map (function R r -> Some r | _ -> None) (uses ins)
+  let acc = ref [] in
+  iter_uses (function R r -> acc := r :: !acc | Ki _ | Kf _ -> ()) ins;
+  List.rev !acc
 
-(** Rewrite the operands an instruction reads (not its destination). *)
-let map_uses f = function
-  | Mov (d, a) -> Mov (d, f a)
-  | Ibin (op, d, a, b) -> Ibin (op, d, f a, f b)
-  | Fbin (fk, op, d, a, b) -> Fbin (fk, op, d, f a, f b)
-  | Iun (op, d, a) -> Iun (op, d, f a)
-  | Fun (fk, op, d, a) -> Fun (fk, op, d, f a)
-  | Lea (d, a, b, s, o) -> Lea (d, f a, f b, s, o)
-  | Load (m, d, a) -> Load (m, d, f a)
-  | Store (m, a, v) -> Store (m, f a, f v)
-  | Vload (fk, l, d, a) -> Vload (fk, l, d, f a)
-  | Vstore (fk, l, a, v) -> Vstore (fk, l, f a, f v)
-  | Vsplat (fk, l, d, a) -> Vsplat (fk, l, d, f a)
-  | Vbin (fk, l, op, d, a, b) -> Vbin (fk, l, op, d, f a, f b)
-  | Vun (fk, l, op, d, a) -> Vun (fk, l, op, d, f a)
-  | Vextract (d, a, i) -> Vextract (d, f a, i)
-  | Cvt (ft, tt, d, a) -> Cvt (ft, tt, d, f a)
-  | Call (d, fi, args) -> Call (d, fi, List.map f args)
-  | Callind (d, fn, args) -> Callind (d, f fn, List.map f args)
-  | Ccall (d, i, args) -> Ccall (d, i, List.map f args)
-  | Prefetch a -> Prefetch (f a)
-  | (FrameAddr _ | SpillTouch _ | Jmp _) as ins -> ins
-  | Br (c, a, b) -> Br (f c, a, b)
-  | Ret (Some a) -> Ret (Some (f a))
-  | Ret None -> Ret None
+(** Rewrite the operands an instruction reads (not its destination).
+    When [f] returns every operand physically unchanged, so is the
+    result: the optimizer maps every instruction and rewrites few. *)
+let map_uses f ins =
+  let list args =
+    let args' = List.map f args in
+    if List.for_all2 ( == ) args args' then args else args'
+  in
+  match ins with
+  | Mov (d, a) ->
+      let a' = f a in
+      if a' == a then ins else Mov (d, a')
+  | Ibin (op, d, a, b) ->
+      let a' = f a and b' = f b in
+      if a' == a && b' == b then ins else Ibin (op, d, a', b')
+  | Fbin (fk, op, d, a, b) ->
+      let a' = f a and b' = f b in
+      if a' == a && b' == b then ins else Fbin (fk, op, d, a', b')
+  | Iun (op, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Iun (op, d, a')
+  | Fun (fk, op, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Fun (fk, op, d, a')
+  | Lea (d, a, b, s, o) ->
+      let a' = f a and b' = f b in
+      if a' == a && b' == b then ins else Lea (d, a', b', s, o)
+  | Load (m, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Load (m, d, a')
+  | Store (m, a, v) ->
+      let a' = f a and v' = f v in
+      if a' == a && v' == v then ins else Store (m, a', v')
+  | Vload (fk, l, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Vload (fk, l, d, a')
+  | Vstore (fk, l, a, v) ->
+      let a' = f a and v' = f v in
+      if a' == a && v' == v then ins else Vstore (fk, l, a', v')
+  | Vsplat (fk, l, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Vsplat (fk, l, d, a')
+  | Vbin (fk, l, op, d, a, b) ->
+      let a' = f a and b' = f b in
+      if a' == a && b' == b then ins else Vbin (fk, l, op, d, a', b')
+  | Vun (fk, l, op, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Vun (fk, l, op, d, a')
+  | Vextract (d, a, i) ->
+      let a' = f a in
+      if a' == a then ins else Vextract (d, a', i)
+  | Cvt (ft, tt, d, a) ->
+      let a' = f a in
+      if a' == a then ins else Cvt (ft, tt, d, a')
+  | Call (d, fi, args) ->
+      let args' = list args in
+      if args' == args then ins else Call (d, fi, args')
+  | Callind (d, fn, args) ->
+      let fn' = f fn and args' = list args in
+      if fn' == fn && args' == args then ins else Callind (d, fn', args')
+  | Ccall (d, i, args) ->
+      let args' = list args in
+      if args' == args then ins else Ccall (d, i, args')
+  | Prefetch a ->
+      let a' = f a in
+      if a' == a then ins else Prefetch a'
+  | FrameAddr _ | SpillTouch _ | Jmp _ | Ret None -> ins
+  | Br (c, a, b) ->
+      let c' = f c in
+      if c' == c then ins else Br (c', a, b)
+  | Ret (Some a) ->
+      let a' = f a in
+      if a' == a then ins else Ret (Some a')
 
 (** Whether the operands an instruction reads can hold a function address:
     moves, stores, call arguments and indirect-call targets, returns and

@@ -82,3 +82,36 @@ let run_expect_file ?(mem_bytes = 64 * 1024 * 1024) src_file expected_file ()
   | out, Ok _ ->
       Alcotest.(check string) src_file (read_file (expected expected_file)) out
   | _, Error d -> Alcotest.failf "%s: %s" src_file (Diag.to_string d)
+
+(** Compare [lines] with the checked-in golden file [test/expected/NAME].
+    On a mismatch, or when the file is missing, the actual lines are
+    written to [NAME.actual] in the test's build directory
+    (_build/default/test) and the test fails naming the first
+    differences; copying that file over test/expected/NAME accepts the
+    new output. *)
+let check_golden name lines =
+  let path = expected name in
+  let want =
+    if Sys.file_exists path then
+      String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "")
+    else []
+  in
+  if want <> lines then begin
+    let actual = name ^ ".actual" in
+    Out_channel.with_open_bin actual (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let rec diffs acc n w l =
+      if n = 0 then List.rev acc
+      else
+        match (w, l) with
+        | [], [] -> List.rev acc
+        | x :: w', y :: l' when x = y -> diffs acc n w' l'
+        | x :: w', y :: l' -> diffs (Printf.sprintf "-%s\n+%s" x y :: acc) (n - 1) w' l'
+        | x :: w', [] -> diffs (("-" ^ x) :: acc) (n - 1) w' []
+        | [], y :: l' -> diffs (("+" ^ y) :: acc) (n - 1) [] l'
+    in
+    Alcotest.failf "%s: %d golden lines, %d actual; first differences:\n%s\n(actual output in %s)"
+      path (List.length want) (List.length lines)
+      (String.concat "\n" (diffs [] 5 want lines))
+      actual
+  end

@@ -164,6 +164,34 @@ let test_lea_merge () =
     (Array.length g.Ir.code = 2
     && run_func g [| Vm.VI 1000L; Vm.VI 3L |] = Vm.VI 1056L)
 
+(* regression: the merge bounded an index by [Int64.abs i < 2^28], which
+   admits Int64.min_int (its abs is negative); [Int64.to_int] then
+   dropped bit 63 and the index folded into the displacement as 0 *)
+let test_lea_merge_min_int () =
+  let args = [| Vm.VI 100L; Vm.VI 5L |] in
+  let want = Vm.VI (Int64.add 105L Int64.min_int) in
+  List.iter
+    (fun (what, code) ->
+      let f = mk_func ~nparams:2 code in
+      checkb (what ^ " unoptimized") true (run_func f args = want);
+      List.iter
+        (fun level -> checkb what true (run_func (opt ~level f) args = want))
+        [ 1; 2 ])
+    [
+      ( "min_int index in the base Lea",
+        [|
+          Ir.Lea (2, Ir.R 0, Ir.Ki Int64.min_int, 1, 0);
+          Ir.Lea (3, Ir.R 2, Ir.R 1, 1, 0);
+          Ir.Ret (Some (Ir.R 3));
+        |] );
+      ( "min_int index in the outer Lea",
+        [|
+          Ir.Lea (2, Ir.R 0, Ir.R 1, 1, 0);
+          Ir.Lea (3, Ir.R 2, Ir.Ki Int64.min_int, 1, 0);
+          Ir.Ret (Some (Ir.R 3));
+        |] );
+    ]
+
 let test_dce_removes_dead () =
   let f =
     mk_func ~nparams:1
@@ -338,15 +366,24 @@ let gen_src (st : Random.State.t) : string =
   let fconst () =
     Printf.sprintf "%.3f" (float_of_int (ri 400 - 200) /. 8.0)
   in
-  let rec iexpr d =
-    if d = 0 || ri 3 = 0 then pick [| "a"; "b"; "v0"; "v1"; iconst () |]
+  (* [vars] is how many of the locals are in scope: an initializer only
+     reads the locals declared before it *)
+  let rec iexpr ?(vars = 2) d =
+    if d = 0 || ri 3 = 0 then
+      pick
+        (Array.append [| "a"; "b"; iconst () |]
+           (Array.sub [| "v0"; "v1" |] 0 vars))
     else
-      "(" ^ iexpr (d - 1) ^ pick [| " + "; " - "; " * " |] ^ iexpr (d - 1) ^ ")"
+      "(" ^ iexpr ~vars (d - 1) ^ pick [| " + "; " - "; " * " |]
+      ^ iexpr ~vars (d - 1) ^ ")"
   in
-  let rec fexpr d =
-    if d = 0 || ri 3 = 0 then pick [| "x"; "w0"; "w1"; fconst () |]
+  let rec fexpr ?(vars = 2) d =
+    if d = 0 || ri 3 = 0 then
+      pick
+        (Array.append [| "x"; fconst () |] (Array.sub [| "w0"; "w1" |] 0 vars))
     else
-      "(" ^ fexpr (d - 1) ^ pick [| " + "; " - "; " * " |] ^ fexpr (d - 1) ^ ")"
+      "(" ^ fexpr ~vars (d - 1) ^ pick [| " + "; " - "; " * " |]
+      ^ fexpr ~vars (d - 1) ^ ")"
   in
   let loopn = ref 0 in
   let stmt assigns cond body_expr =
@@ -365,16 +402,16 @@ let gen_src (st : Random.State.t) : string =
           (pick assigns) (body_expr 2)
   in
   add "terra fi(a : int, b : int) : int\n";
-  add "  var v0 = %s\n" (iexpr 2);
-  add "  var v1 = %s\n" (iexpr 2);
+  add "  var v0 = %s\n" (iexpr ~vars:0 2);
+  add "  var v1 = %s\n" (iexpr ~vars:1 2);
   let icond () = Printf.sprintf "%s < %s" (iexpr 1) (iexpr 1) in
   for _ = 1 to 2 + ri 3 do
     stmt [| "v0"; "v1" |] icond iexpr
   done;
   add "  return v0 + v1\nend\n";
   add "terra fd(x : double) : double\n";
-  add "  var w0 = %s\n" (fexpr 2);
-  add "  var w1 = %s\n" (fexpr 2);
+  add "  var w0 = %s\n" (fexpr ~vars:0 2);
+  add "  var w1 = %s\n" (fexpr ~vars:1 2);
   let fcond () = Printf.sprintf "%s < %s" (fexpr 1) (fexpr 1) in
   for _ = 1 to 2 + ri 3 do
     stmt [| "w0"; "w1" |] fcond fexpr
@@ -395,6 +432,151 @@ let prop_fuzz_differential =
       if o0 <> o2 || t0 <> t2 then
         QCheck.Test.fail_reportf "opt0: %s %S@.opt2: %s %S" t0 o0 t2 o2
       else true)
+
+(* ------------------------------------------------------------------ *)
+(* Golden optimized IR and pass statistics *)
+
+(* The three pipeline configurations the golden files pin. *)
+let golden_configs = [ ("o1", 1, false); ("o2", 2, false); ("o2c", 2, true) ]
+
+(* A function's fingerprint covers its [Ir.pp_func] text and, since the
+   printer drops float kinds, unary operators and call arguments, its
+   marshalled structure too. *)
+let func_digest (f : Ir.func) =
+  let text = Format.asprintf "%a" Ir.pp_func f in
+  let bytes = Marshal.to_string f [ Marshal.No_sharing ] in
+  String.sub (Digest.to_hex (Digest.string (text ^ bytes))) 0 16
+
+let stats_summary (s : Topt.Stats.t) =
+  let ev name =
+    match Hashtbl.find_opt s.Topt.Stats.passes name with
+    | Some p -> p.Topt.Stats.p_events
+    | None -> 0
+  in
+  Printf.sprintf "%d:%d>%d %s" s.Topt.Stats.s_funcs s.Topt.Stats.s_before
+    s.Topt.Stats.s_after
+    (String.concat "/"
+       (List.map (fun n -> string_of_int (ev n))
+          [ "copyprop"; "simplify"; "cse"; "licm"; "cfg"; "dce" ]))
+
+(* The functions [f] compiles into [vm]: every slot that holds code
+   afterwards and did not before. *)
+let compiled_by (vm : Vm.t) f =
+  let before = Array.init vm.Vm.nfuncs (Vm.func_defined vm) in
+  f ();
+  List.filter_map
+    (fun i ->
+      if Vm.func_defined vm i && not (i < Array.length before && before.(i))
+      then Some (Vm.func vm i)
+      else None)
+    (List.init vm.Vm.nfuncs Fun.id)
+
+let combined_digest funcs =
+  String.sub
+    (Digest.to_hex (Digest.string (String.concat "" (List.map func_digest funcs))))
+    0 16
+
+(* One line per function, then one for the run's pass statistics. *)
+let per_function_lines label cfg funcs stats =
+  List.map
+    (fun (f : Ir.func) ->
+      Printf.sprintf "%s %s %s %s" label cfg f.Ir.fname (func_digest f))
+    funcs
+  @ [ Printf.sprintf "%s %s stats %s" label cfg (stats_summary stats) ]
+
+let engine_at ~opt_level ~checked =
+  Terrastd.create ~mem_bytes:(64 * 1024 * 1024) ~checked ~opt_level ()
+
+(* Run [src] on [e] from a fresh slice, returning its result tag and
+   what it compiled. *)
+let compile_run e name src =
+  Terra.Engine.reset_scope ~slice:true e;
+  let tag = ref "" in
+  let funcs =
+    compiled_by e.Terra.Engine.ctx.Terra.Context.vm (fun () ->
+        tag :=
+          match Terra.Engine.run_capture_protected e ~file:name src with
+          | _, Ok _ -> "ok"
+          | _, Error d -> d.Terra.Diag.code)
+  in
+  (!tag, funcs)
+
+let test_golden_programs () =
+  Harness.check_golden "topt_programs.golden"
+    (List.concat_map
+       (fun path ->
+         let src = read_file path in
+         List.concat_map
+           (fun (cfg, opt_level, checked) ->
+             let e = engine_at ~opt_level ~checked in
+             let tag, funcs = compile_run e path src in
+             per_function_lines (path ^ " " ^ tag) cfg funcs
+               e.Terra.Engine.ctx.Terra.Context.opt_stats)
+           golden_configs)
+       (golden_programs ()))
+
+(* Generated programs share one engine per configuration, in a fixed
+   order, so function indices and static addresses are reproducible. *)
+let golden_generated label srcs =
+  let engines =
+    List.map
+      (fun (cfg, opt_level, checked) -> (cfg, engine_at ~opt_level ~checked))
+      golden_configs
+  in
+  List.mapi
+    (fun i src ->
+      let name = Printf.sprintf "%s/%04d" label i in
+      String.concat " "
+        (name
+        :: List.map
+             (fun (cfg, e) ->
+               let tag, funcs = compile_run e name src in
+               Printf.sprintf "%s %s %d %s %s" cfg tag (List.length funcs)
+                 (combined_digest funcs)
+                 (stats_summary e.Terra.Engine.ctx.Terra.Context.opt_stats))
+             engines))
+    srcs
+
+let test_golden_fuzz () =
+  Harness.check_golden "topt_fuzz.golden"
+    (golden_generated "fuzz"
+       (List.init 200 (fun i -> gen_src (Random.State.make [| i; 0x70 |]))))
+
+let test_golden_scripts () =
+  Harness.check_golden "topt_scripts.golden"
+    (golden_generated "scripts"
+       (Array.to_list (Array.map (fun p -> p.Gen.src) (Gen.scripts ~seed:1 1000))))
+
+(* Every kernel of the tuner's default search spaces, with its blocked
+   driver, compiled on a fresh context per configuration. *)
+let test_golden_gemm () =
+  Harness.check_golden "topt_gemm.golden"
+    (List.concat_map
+       (fun (ename, elem) ->
+         List.concat_map
+           (fun (p : Tuner.Gemm.params) ->
+             let label =
+               Printf.sprintf "%s/nb%d-rm%d-rn%d-v%d" ename p.Tuner.Gemm.nb
+                 p.Tuner.Gemm.rm p.Tuner.Gemm.rn p.Tuner.Gemm.v
+             in
+             List.concat_map
+               (fun (cfg, opt_level, checked) ->
+                 let ctx =
+                   Terra.Context.create ~mem_bytes:(16 * 1024 * 1024) ~checked
+                     ~opt_level ()
+                 in
+                 let kernel = Tuner.Gemm.genkernel ctx ~elem p in
+                 let driver =
+                   Tuner.Gemm.blocked_driver ctx ~elem ~kernel ~nb:p.Tuner.Gemm.nb
+                 in
+                 let funcs =
+                   compiled_by ctx.Terra.Context.vm (fun () ->
+                       Terra.Jit.ensure_compiled driver)
+                 in
+                 per_function_lines label cfg funcs ctx.Terra.Context.opt_stats)
+               golden_configs)
+           (Tuner.Search.default_space ~elem))
+       [ ("f64", Terra.Types.double); ("f32", Terra.Types.float_) ])
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: fuel reduction and optstats on real workloads *)
@@ -515,6 +697,8 @@ let () =
           Alcotest.test_case "strength reduction" `Quick
             test_peephole_strength_reduction;
           Alcotest.test_case "lea merge" `Quick test_lea_merge;
+          Alcotest.test_case "lea merge keeps a min_int index" `Quick
+            test_lea_merge_min_int;
           Alcotest.test_case "dce" `Quick test_dce_removes_dead;
           Alcotest.test_case "cse loads gated by checked" `Quick
             test_cse_loads_unchecked_only;
@@ -525,6 +709,15 @@ let () =
       ("golden-differential", golden_cases ());
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest prop_fuzz_differential ] );
+      ( "golden-ir",
+        [
+          Alcotest.test_case "example and test programs" `Quick
+            test_golden_programs;
+          Alcotest.test_case "200 fuzzed programs" `Quick test_golden_fuzz;
+          Alcotest.test_case "tuner gemm kernels" `Quick test_golden_gemm;
+          Alcotest.test_case "1,000 seed-1 generated scripts" `Quick
+            test_golden_scripts;
+        ] );
       ( "acceptance",
         [
           Alcotest.test_case "mandelbrot fuel -15%" `Quick
