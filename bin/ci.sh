@@ -192,6 +192,20 @@ if [ "$(nproc)" -ge 4 ]; then
 else
   echo "(fewer than 4 cores: speedup gate skipped, identity gate enforced)"
 fi
+# An engine costs the arena pages it touches, not the arena's size: four
+# checked workers (arena plus shadow map each) on this manifest must
+# peak under 300 MB resident.  The built binary runs directly, so the
+# peak is terra_run's own and not dune's.
+python3 - "$par_manifest" <<'PY'
+import resource, subprocess, sys
+subprocess.run(["_build/default/bin/terra_run.exe", "--checked", "--batch",
+                sys.argv[1], "--jobs", "4"],
+               stdout=subprocess.DEVNULL, timeout=240)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print("jobs=4 checked batch peak RSS: %.0f MB" % mb)
+if mb > 300:
+    sys.exit("jobs=4 checked batch peaked at %.0f MB, above 300 MB" % mb)
+PY
 rm -rf "$par_dir"
 
 echo "== serve smoke =="

@@ -31,14 +31,18 @@ type key =
   | Kload of Ir.mty * Ir.operand
   | Kvload of Ir.fk * int * Ir.operand
 
-(* Monomorphic operand order and equality, agreeing with the polymorphic
-   [compare] the keys were designed around: R < Ki < Kf, and floats by
-   [Float.compare] (nan equals nan, 0.0 equals -0.0). *)
+(* Monomorphic operand order and equality: R < Ki < Kf, and floats by
+   [Float.compare], then by bit pattern.  Two float constants are the
+   same operand only when their bits are: [x + 0.0] and [x + -0.0]
+   differ at [x = -0.0], and NaNs differ by payload. *)
 let compare_operand a b =
   match (a, b) with
   | Ir.R x, Ir.R y -> Int.compare x y
   | Ir.Ki x, Ir.Ki y -> Int64.compare x y
-  | Ir.Kf x, Ir.Kf y -> Float.compare x y
+  | Ir.Kf x, Ir.Kf y -> (
+      match Float.compare x y with
+      | 0 -> Int64.compare (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | c -> c)
   | Ir.R _, _ -> -1
   | _, Ir.R _ -> 1
   | Ir.Ki _, Ir.Kf _ -> -1
@@ -48,7 +52,8 @@ let op_equal a b =
   match (a, b) with
   | Ir.R x, Ir.R y -> x = y
   | Ir.Ki x, Ir.Ki y -> Int64.equal x y
-  | Ir.Kf x, Ir.Kf y -> Float.equal x y
+  | Ir.Kf x, Ir.Kf y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | _ -> false
 
 let sort2 a b = if compare_operand a b <= 0 then (a, b) else (b, a)

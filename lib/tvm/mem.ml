@@ -8,13 +8,13 @@ exception Fault of int * string
    like compiled code, so pages wholly above the floor are never
    journaled and the floor page is only restored below the floor. *)
 type txn = {
-  tx_pages : (int, Bytes.t) Hashtbl.t;  (** page index -> pre-image *)
+  tx_pages : (int, string) Hashtbl.t;  (** page index -> pre-image *)
   tx_statics_floor : int;  (** statics_ptr when the txn began *)
 }
 
 type t = {
-  bytes : Bytes.t;
-  pages : Pagedigest.t;  (** write bitmap and page digests of [bytes] *)
+  data : Pagedigest.arena;  (** [pages.data], kept at hand for accesses *)
+  pages : Pagedigest.t;  (** the arena, its write bitmap and page digests *)
   mutable statics_ptr : int;
   heap_base : int;
   heap_limit : int;
@@ -31,9 +31,10 @@ let stack_bytes = 8 * (1 lsl 20)
 
 let create ?(bytes = default_bytes) () =
   let bytes = max bytes (statics_limit + stack_bytes + (1 lsl 20)) in
+  let pages = Pagedigest.create bytes in
   {
-    bytes = Bytes.make bytes '\000';
-    pages = Pagedigest.create bytes;
+    data = pages.Pagedigest.data;
+    pages;
     statics_ptr = statics_base;
     heap_base = statics_limit;
     heap_limit = bytes - stack_bytes;
@@ -42,6 +43,8 @@ let create ?(bytes = default_bytes) () =
     txn = None;
     probe = None;
   }
+
+let size t = Bigarray.Array1.dim t.data
 
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
@@ -68,7 +71,7 @@ let note t addr len =
   | None -> ()
   | Some tx ->
       if len > 0 && addr >= 0 then begin
-        let last = min (addr + len - 1) (Bytes.length t.bytes - 1) in
+        let last = min (addr + len - 1) (size t - 1) in
         for p = addr lsr page_bits to last lsr page_bits do
           let page_start = p lsl page_bits in
           (* fresh statics are monotone: skip pages wholly above the floor *)
@@ -78,8 +81,9 @@ let note t addr len =
               && page_start + page_size <= statics_limit)
             && not (Hashtbl.mem tx.tx_pages p)
           then
-            let plen = min page_size (Bytes.length t.bytes - page_start) in
-            Hashtbl.add tx.tx_pages p (Bytes.sub t.bytes page_start plen)
+            let plen = min page_size (size t - page_start) in
+            Hashtbl.add tx.tx_pages p
+              (Pagedigest.sub_string t.pages page_start plen)
         done
       end
 
@@ -98,7 +102,7 @@ let rollback t tx =
   Hashtbl.iter
     (fun p img ->
       let page_start = p lsl page_bits in
-      let len = Bytes.length img in
+      let len = String.length img in
       (* the page containing the statics floor: restore only the old part *)
       let len =
         if page_start < tx.tx_statics_floor
@@ -107,8 +111,7 @@ let rollback t tx =
         then tx.tx_statics_floor - page_start
         else len
       in
-      touch t page_start len;
-      Bytes.blit img 0 t.bytes page_start len)
+      Pagedigest.blit_string t.pages img page_start len)
     tx.tx_pages;
   t.txn <- None
 
@@ -127,9 +130,9 @@ let fingerprint ?(from_scratch = false) ?statics_upto t =
     | None -> t.statics_ptr
   in
   let pd = if from_scratch then Pagedigest.invalidated t.pages else t.pages in
-  let d1 = Pagedigest.prefix pd t.bytes (max 0 upto) in
+  let d1 = Pagedigest.prefix pd (max 0 upto) in
   let d2 =
-    Pagedigest.root pd t.bytes
+    Pagedigest.root pd
       ~first_group:(statics_limit / (page_size * Pagedigest.group_pages))
   in
   Digest.to_hex (Digest.string (d1 ^ d2))
@@ -139,7 +142,6 @@ let shadow t = t.shadow
 let checked t = t.shadow <> None
 let set_probe t p = t.probe <- Some p
 
-let size t = Bytes.length t.bytes
 let heap_base t = t.heap_base
 let heap_limit t = t.heap_limit
 let stack_top t = t.stack_top
@@ -161,7 +163,7 @@ let alloc_static t ~align n =
    [addr < statics_limit] compare). *)
 let check t addr len what =
   if len < 0 then raise (Fault (addr, what ^ " (negative length)"));
-  if addr < statics_base || addr > Bytes.length t.bytes - len then
+  if addr < statics_base || addr > size t - len then
     raise (Fault (addr, what));
   if
     addr < statics_limit && addr + len > t.statics_ptr
@@ -176,29 +178,55 @@ let check t addr len what =
       | _ -> ());
       Shadow.check sh ~what ~addr ~len
 
+(* Loads and stores use the unchecked bigstring primitives: [check] has
+   bounded the access.  They are native-endian, and the arena is
+   little-endian. *)
+external ba_get16 : Pagedigest.arena -> int -> int = "%caml_bigstring_get16u"
+external ba_get32 : Pagedigest.arena -> int -> int32 = "%caml_bigstring_get32u"
+external ba_get64 : Pagedigest.arena -> int -> int64 = "%caml_bigstring_get64u"
+
+external ba_set16 : Pagedigest.arena -> int -> int -> unit
+  = "%caml_bigstring_set16u"
+
+external ba_set32 : Pagedigest.arena -> int -> int32 -> unit
+  = "%caml_bigstring_set32u"
+
+external ba_set64 : Pagedigest.arena -> int -> int64 -> unit
+  = "%caml_bigstring_set64u"
+
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 let get_u8 t a =
   check t a 1 "load u8";
-  Char.code (Bytes.unsafe_get t.bytes a)
+  Char.code (Bigarray.Array1.unsafe_get t.data a)
 
 let get_i8 t a =
   let v = get_u8 t a in
   if v >= 128 then v - 256 else v
 
+let[@inline] u16 t a =
+  let v = ba_get16 t.data a in
+  if Sys.big_endian then swap16 v else v
+
 let get_u16 t a =
   check t a 2 "load u16";
-  Bytes.get_uint16_le t.bytes a
+  u16 t a
 
 let get_i16 t a =
   check t a 2 "load i16";
-  Bytes.get_int16_le t.bytes a
+  (u16 t a lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
 
 let[@inline] get_i32 t a =
   check t a 4 "load i32";
-  Bytes.get_int32_le t.bytes a
+  let v = ba_get32 t.data a in
+  if Sys.big_endian then swap32 v else v
 
 let[@inline] get_i64 t a =
   check t a 8 "load i64";
-  Bytes.get_int64_le t.bytes a
+  let v = ba_get64 t.data a in
+  if Sys.big_endian then swap64 v else v
 
 let[@inline] get_f32 t a = Int32.float_of_bits (get_i32 t a)
 let[@inline] get_f64 t a = Int64.float_of_bits (get_i64 t a)
@@ -220,25 +248,26 @@ let set_u8 t a v =
   check t a 1 "store u8";
   note t a 1;
   touch t a 1;
-  Bytes.unsafe_set t.bytes a (Char.unsafe_chr (v land 0xff))
+  Bigarray.Array1.unsafe_set t.data a (Char.unsafe_chr (v land 0xff))
 
 let set_u16 t a v =
   check t a 2 "store u16";
   note t a 2;
   touch t a 2;
-  Bytes.set_uint16_le t.bytes a (v land 0xffff)
+  let v = v land 0xffff in
+  ba_set16 t.data a (if Sys.big_endian then swap16 v else v)
 
 let[@inline] set_i32 t a v =
   check t a 4 "store i32";
   note t a 4;
   touch t a 4;
-  Bytes.set_int32_le t.bytes a v
+  ba_set32 t.data a (if Sys.big_endian then swap32 v else v)
 
 let[@inline] set_i64 t a v =
   check t a 8 "store i64";
   note t a 8;
   touch t a 8;
-  Bytes.set_int64_le t.bytes a v
+  ba_set64 t.data a (if Sys.big_endian then swap64 v else v)
 
 let[@inline] set_f32 t a v = set_i32 t a (Int32.bits_of_float v)
 let[@inline] set_f64 t a v = set_i64 t a (Int64.bits_of_float v)
@@ -257,14 +286,12 @@ let blit t ~src ~dst ~len =
   check t src len "memcpy src";
   check t dst len "memcpy dst";
   note t dst len;
-  touch t dst len;
-  Bytes.blit t.bytes src t.bytes dst len
+  Pagedigest.blit t.pages ~src ~dst ~len
 
 let fill t addr len c =
   check t addr len "memset";
   note t addr len;
-  touch t addr len;
-  Bytes.fill t.bytes addr len c
+  Pagedigest.fill t.pages addr len c
 
 (* A C string that long is a bug, not data: stop scanning instead of
    walking the rest of the arena. *)
@@ -291,43 +318,41 @@ let get_cstring t addr =
 (** Fault-injection entry: silently corrupt one byte, bypassing all
     checks — models a flipped bit in an unchecked heap. *)
 let corrupt_byte t addr =
-  if addr >= 0 && addr < Bytes.length t.bytes then begin
+  if addr >= 0 && addr < size t then begin
     note t addr 1;
     touch t addr 1;
-    Bytes.set t.bytes addr '\xA5'
+    t.data.{addr} <- '\xA5'
   end
 
 let set_cstring t addr s =
   check t addr (String.length s + 1) "store string";
   note t addr (String.length s);
-  touch t addr (String.length s);
-  Bytes.blit_string s 0 t.bytes addr (String.length s);
+  Pagedigest.blit_string t.pages s addr (String.length s);
   set_u8 t (addr + String.length s) 0
 
 (** Fault-injection entry for tests: flip one byte past the rollback
     journal (no [note]) — a journal bug, which the next fingerprint
     compared across a rollback must catch. *)
 let stray_store t addr =
-  if addr >= 0 && addr < Bytes.length t.bytes then begin
+  if addr >= 0 && addr < size t then begin
     touch t addr 1;
-    Bytes.set t.bytes addr
-      (Char.chr (Char.code (Bytes.get t.bytes addr) lxor 0xff))
+    t.data.{addr} <- Char.chr (Char.code t.data.{addr} lxor 0xff)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support *)
 
 (** Bytes [0, statics_mark), verbatim. *)
-let statics_image t = Bytes.sub_string t.bytes 0 t.statics_ptr
+let statics_image t = Pagedigest.sub_string t.pages 0 t.statics_ptr
 
 (** [(offset, contents)] of every non-zero page of [heap_base, size), in
     offset order. *)
-let heap_pages t = Pagedigest.nonzero_pages t.pages t.bytes ~from:t.heap_base
+let heap_pages t = Pagedigest.nonzero_pages t.pages ~from:t.heap_base
 
 (** Replace the whole arena with an image: zero, then [statics] at 0 and
     each [(offset, contents)] page, and forget every page digest.  No
     transaction may be active. *)
 let load_image t ~statics_ptr ~statics ~pages =
   if t.txn <> None then invalid_arg "Mem.load_image: transaction active";
-  Pagedigest.load t.pages t.bytes ((0, statics) :: pages);
+  Pagedigest.load t.pages ((0, statics) :: pages);
   t.statics_ptr <- statics_ptr

@@ -3,7 +3,11 @@
     Address 0 is the null page and always faults; a static-data region is
     bump-allocated from [statics_base], and an access to its unallocated
     part (at or above {!statics_mark}) faults too; the heap and stack
-    share the rest (heap grows up, stack grows down from [stack_top]). *)
+    share the rest (heap grows up, stack grows down from [stack_top]).
+
+    The arena is a private mapping of [/dev/zero] ({!Pagedigest}): it
+    reads zero until written, and costs the pages written, not its
+    size. *)
 
 exception Fault of int * string
 
@@ -14,6 +18,8 @@ type t
     of {!rollback} or {!commit}. *)
 type txn
 
+(** An arena of [bytes] (default 192 MiB, and at least the statics, the
+    stack and 1 MiB of heap). *)
 val create : ?bytes:int -> unit -> t
 val size : t -> int
 

@@ -16,7 +16,15 @@
 
     A page not written since {!create} or {!load} is known to be zero.
     It shares a zero-page digest computed once per process, and {!load}
-    and {!nonzero_pages} skip it. *)
+    and {!nonzero_pages} skip it.
+
+    A [t] also owns the bytes it covers: a private mapping of
+    [/dev/zero], which the OS backs with a real page only when it is
+    first written, so the range costs what is touched, not its length.
+    Every read or write of whole ranges (digests, zero scans, copies in
+    and out, fills and blits) goes through the helpers here; pages are
+    copied out through one 4 KiB buffer per [t], since engines, and so
+    their [t]s, run on separate domains. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -42,22 +50,40 @@ type cache = {
   stale : Bytes.t;  (** per group: a page digest moved since the group's *)
 }
 
+type arena =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  len : int;  (** bytes covered *)
+  data : arena;  (** the bytes covered *)
+  len : int;  (** [Array1.dim data] *)
   npages : int;
   ngroups : int;
   state : Bytes.t;  (** one byte per page, padded to whole groups *)
+  buf : Bytes.t;  (** one page, for digests and copies out of [data] *)
   mutable cache : cache option;  (** allocated by the first digest *)
 }
+
+(* [map_file] grows a file too short for the mapping with a write, so
+   even [/dev/zero] must be opened read-write.  The mapping outlives the
+   descriptor. *)
+let map_zero len : arena =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |]))
 
 let create len =
   let npages = (len + page_size - 1) lsr page_bits in
   let ngroups = (npages + group_pages - 1) / group_pages in
   {
+    data = map_zero len;
     len;
     npages;
     ngroups;
     state = Bytes.make (ngroups * group_pages) unwritten;
+    buf = Bytes.create page_size;
     cache = None;
   }
 
@@ -75,6 +101,69 @@ let[@inline] touch t off len =
     let q = (off + len - 1) lsr page_bits in
     if q > p then touch_pages t (p + 1) q
   end
+
+(* ------------------------------------------------------------------ *)
+(* Copies in and out *)
+
+external get64 : arena -> int -> int64 = "%caml_bigstring_get64u"
+external set64 : arena -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* Byte order does not matter here: each copies 8 bytes as they lie. *)
+
+(** [dst.[doff ..]] := [data.{off .. off+len-1}]. *)
+let copy_out t off dst doff len =
+  let i = ref 0 in
+  while !i + 8 <= len do
+    bytes_set64 dst (doff + !i) (get64 t.data (off + !i));
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    Bytes.unsafe_set dst (doff + j)
+      (Bigarray.Array1.unsafe_get t.data (off + j))
+  done
+
+(** Bytes [off, off+len) as a string; the caller has checked the range. *)
+let sub_string t off len =
+  let b = Bytes.create len in
+  copy_out t off b 0 len;
+  Bytes.unsafe_to_string b
+
+(** Write the first [len] bytes of [s] at [off], marking their pages. *)
+let blit_string t s off len =
+  touch t off len;
+  let i = ref 0 in
+  while !i + 8 <= len do
+    set64 t.data (off + !i) (string_get64 s !i);
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    Bigarray.Array1.unsafe_set t.data (off + j) (String.unsafe_get s j)
+  done
+
+(** Set [len] bytes at [off] to [c], marking their pages. *)
+let fill t off len c =
+  touch t off len;
+  Bigarray.Array1.fill (Bigarray.Array1.sub t.data off len) c
+
+(** Copy [len] bytes from [src] to [dst], which may overlap (memmove),
+    marking the pages written. *)
+let blit t ~src ~dst ~len =
+  touch t dst len;
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub t.data src len)
+    (Bigarray.Array1.sub t.data dst len)
+
+let is_zero t off len =
+  let rec words i =
+    if i + 8 > len then tail i
+    else Int64.equal (get64 t.data (off + i)) 0L && words (i + 8)
+  and tail i =
+    i >= len
+    || (Bigarray.Array1.unsafe_get t.data (off + i) = '\000' && tail (i + 1))
+  in
+  words 0
 
 (* ------------------------------------------------------------------ *)
 (* Digests *)
@@ -121,8 +210,13 @@ let cache t =
       t.cache <- Some c;
       c
 
-let hash_page t c bytes p =
-  let d = Digest.subbytes bytes (p lsl page_bits) (page_len t p) in
+(* Digest of [len] bytes at [off], at most one page *)
+let digest t off len =
+  copy_out t off t.buf 0 len;
+  Digest.subbytes t.buf 0 len
+
+let hash_page t c p =
+  let d = digest t (p lsl page_bits) (page_len t p) in
   Bytes.blit_string d 0 c.pages (p * dlen) dlen;
   Bytes.unsafe_set t.state p clean;
   Bytes.unsafe_set c.stale (p / group_pages) '\001'
@@ -138,14 +232,14 @@ let group_dirty t g =
 
 (** Digest of the pages of groups [first_group..]: the digest over
     their group digests, each refreshed if one of its pages changed. *)
-let root t bytes ~first_group =
+let root t ~first_group =
   let c = cache t in
   for g = first_group to t.ngroups - 1 do
     if Bytes.unsafe_get c.stale g <> '\000' || group_dirty t g then begin
       let p0 = g * group_pages in
       let p1 = min t.npages (p0 + group_pages) in
       for p = p0 to p1 - 1 do
-        if Bytes.unsafe_get t.state p = dirty then hash_page t c bytes p
+        if Bytes.unsafe_get t.state p = dirty then hash_page t c p
       done;
       let d = Digest.subbytes c.pages (p0 * dlen) ((p1 - p0) * dlen) in
       Bytes.blit_string d 0 c.groups (g * dlen) dlen;
@@ -157,15 +251,15 @@ let root t bytes ~first_group =
 
 (** Digest of bytes [0, upto): the digests of the whole pages below
     [upto], then the part of the page holding [upto], hashed afresh. *)
-let prefix t bytes upto =
+let prefix t upto =
   let c = cache t in
   let full = upto lsr page_bits in
   for p = 0 to full - 1 do
-    if Bytes.unsafe_get t.state p = dirty then hash_page t c bytes p
+    if Bytes.unsafe_get t.state p = dirty then hash_page t c p
   done;
   Digest.string
     (Bytes.sub_string c.pages 0 (full * dlen)
-    ^ Digest.subbytes bytes (full lsl page_bits) (upto land (page_size - 1)))
+    ^ digest t (full lsl page_bits) (upto land (page_size - 1)))
 
 (** A copy of [t] with every page marked dirty and no digests, so a
     digest of it re-hashes every byte: the from-scratch value the
@@ -181,38 +275,24 @@ let invalidated t =
 (** [(offset, contents)] of every non-zero page at or above [from] (a
     page boundary), in offset order.  Only pages written since {!create}
     or {!load} are read: the others are zero. *)
-let nonzero_pages t bytes ~from =
+let nonzero_pages t ~from =
   let acc = ref [] in
   for p = t.npages - 1 downto from lsr page_bits do
     if Bytes.unsafe_get t.state p <> unwritten then begin
       let off = p lsl page_bits and len = page_len t p in
-      let zero = ref true and i = ref 0 in
-      while !zero && !i + 8 <= len do
-        if Bytes.get_int64_ne bytes (off + !i) <> 0L then zero := false;
-        i := !i + 8
-      done;
-      while !zero && !i < len do
-        if Bytes.get bytes (off + !i) <> '\000' then zero := false;
-        incr i
-      done;
-      if not !zero then acc := (off, Bytes.sub_string bytes off len) :: !acc
+      if not (is_zero t off len) then acc := (off, sub_string t off len) :: !acc
     end
   done;
   !acc
 
-(** Replace [bytes] with an image: zero every written page, forget all
+(** Replace the bytes with an image: zero every written page, forget all
     digests, then write each [(offset, contents)], marking its pages. *)
-let load t bytes pages =
+let load t pages =
   for p = 0 to t.npages - 1 do
     if Bytes.unsafe_get t.state p <> unwritten then begin
-      Bytes.fill bytes (p lsl page_bits) (page_len t p) '\000';
+      fill t (p lsl page_bits) (page_len t p) '\000';
       Bytes.unsafe_set t.state p unwritten
     end
   done;
   t.cache <- None;
-  List.iter
-    (fun (off, data) ->
-      let len = String.length data in
-      touch t off len;
-      Bytes.blit_string data 0 bytes off len)
-    pages
+  List.iter (fun (off, s) -> blit_string t s off (String.length s)) pages

@@ -47,7 +47,7 @@ let state_of_chr = function
    {!Mem.txn} so a rollback restores the sanitizer's view of the heap
    exactly alongside the heap bytes themselves. *)
 type txn = {
-  tx_pages : (int, Bytes.t) Hashtbl.t;  (** map page index -> pre-image *)
+  tx_pages : (int, string) Hashtbl.t;  (** map page index -> pre-image *)
   tx_live : (int, int * int * int) Hashtbl.t;
   tx_freed : (int, int * int * int) Hashtbl.t;
 }
@@ -55,20 +55,22 @@ type txn = {
 type t = {
   base : int;
   limit : int;
-  map : Bytes.t;
-  pages : Pagedigest.t;  (** write bitmap and page digests of [map] *)
+  map : Pagedigest.arena;  (** [pages.data], kept at hand for checks *)
+  pages : Pagedigest.t;  (** the map, its write bitmap and page digests *)
   live : (int, int * int * int) Hashtbl.t;
       (** payload -> (requested size, block lo, block hi) *)
   freed : (int, int * int * int) Hashtbl.t;  (** quarantined blocks *)
   mutable txn : txn option;
 }
 
+(* A fresh map reads zero: [chr_unaddressable] everywhere. *)
 let create ~base ~limit =
+  let pages = Pagedigest.create (limit - base) in
   {
     base;
     limit;
-    map = Bytes.make (limit - base) chr_unaddressable;
-    pages = Pagedigest.create (limit - base);
+    map = pages.Pagedigest.data;
+    pages;
     live = Hashtbl.create 64;
     freed = Hashtbl.create 64;
     txn = None;
@@ -79,7 +81,7 @@ let limit t = t.limit
 let covers t addr = addr >= t.base && addr < t.limit
 
 let state_at t addr =
-  if covers t addr then state_of_chr (Bytes.get t.map (addr - t.base))
+  if covers t addr then state_of_chr t.map.{addr - t.base}
   else Addressable
 
 (* ------------------------------------------------------------------ *)
@@ -97,8 +99,9 @@ let note t lo hi =
         for p = lo lsr page_bits to (hi - 1) lsr page_bits do
           if not (Hashtbl.mem tx.tx_pages p) then begin
             let page_start = p lsl page_bits in
-            let plen = min page_size (Bytes.length t.map - page_start) in
-            Hashtbl.add tx.tx_pages p (Bytes.sub t.map page_start plen)
+            let plen = min page_size (t.limit - t.base - page_start) in
+            Hashtbl.add tx.tx_pages p
+              (Pagedigest.sub_string t.pages page_start plen)
           end
         done
 
@@ -122,8 +125,7 @@ let restore_tbl dst src =
 let rollback t tx =
   Hashtbl.iter
     (fun p img ->
-      Pagedigest.touch t.pages (p lsl page_bits) (Bytes.length img);
-      Bytes.blit img 0 t.map (p lsl page_bits) (Bytes.length img))
+      Pagedigest.blit_string t.pages img (p lsl page_bits) (String.length img))
     tx.tx_pages;
   restore_tbl t.live tx.tx_live;
   restore_tbl t.freed tx.tx_freed;
@@ -148,7 +150,7 @@ let fingerprint ?(from_scratch = false) t =
     (Digest.string
        (Pagedigest.root
           (if from_scratch then Pagedigest.invalidated t.pages else t.pages)
-          t.map ~first_group:0
+          ~first_group:0
        ^ tbl "L" t.live ^ tbl "F" t.freed))
 
 let mark t ~addr ~len st =
@@ -156,8 +158,7 @@ let mark t ~addr ~len st =
     let lo = max addr t.base and hi = min (addr + len) t.limit in
     if hi > lo then begin
       note t (lo - t.base) (hi - t.base);
-      Pagedigest.touch t.pages (lo - t.base) (hi - lo);
-      Bytes.fill t.map (lo - t.base) (hi - lo) (chr_of_state st)
+      Pagedigest.fill t.pages (lo - t.base) (hi - lo) (chr_of_state st)
     end
   end
 
@@ -213,10 +214,11 @@ let check t ~what ~addr ~len =
   let hi = min (addr + len) t.limit in
   let i = ref lo in
   while !i < hi do
-    if Bytes.unsafe_get t.map (!i - t.base) <> chr_addressable then begin
+    if Bigarray.Array1.unsafe_get t.map (!i - t.base) <> chr_addressable
+    then begin
       let bad = !i in
       let kind =
-        match state_of_chr (Bytes.get t.map (bad - t.base)) with
+        match state_of_chr t.map.{bad - t.base} with
         | Redzone -> Heap_overflow
         | Freed -> Use_after_free
         | _ -> Oob
@@ -268,7 +270,7 @@ let describe v =
 
 (** [(offset, contents)] of every non-zero page of the byte map, in
     offset order. *)
-let map_pages t = Pagedigest.nonzero_pages t.pages t.map ~from:0
+let map_pages t = Pagedigest.nonzero_pages t.pages ~from:0
 
 let entries t =
   let dump tbl =
@@ -280,7 +282,7 @@ let entries t =
     but for [pages], and the two block registries. *)
 let load_image t ~pages ~live ~freed =
   if t.txn <> None then invalid_arg "Shadow.load_image: transaction active";
-  Pagedigest.load t.pages t.map pages;
+  Pagedigest.load t.pages pages;
   Hashtbl.reset t.live;
   List.iter (fun (k, v) -> Hashtbl.replace t.live k v) live;
   Hashtbl.reset t.freed;

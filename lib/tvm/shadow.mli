@@ -29,7 +29,9 @@ type t
     pre-images of the per-byte map plus copies of the block registries. *)
 type txn
 
-(** Shadow the heap region [\[base, limit)]. *)
+(** Shadow the heap region [\[base, limit)], all unaddressable.  The
+    map is lazily zeroed like the arena ({!Mem}), so it costs the pages
+    marked, not the region's size. *)
 val create : base:int -> limit:int -> t
 
 (** Start journaling shadow mutations; does not nest. *)

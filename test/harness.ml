@@ -32,9 +32,9 @@ let contains_sub ~sub s =
 
 (** A fully-installed engine (terralib + the DSL layers) sized for
     tests. *)
-let engine ?(mem_bytes = 32 * 1024 * 1024) ?(checked = false) ?faults
-    ?opt_level ?fuel ?profile ?trace ?ccache () =
-  Terrastd.create ~mem_bytes ~checked ?faults ?opt_level ?fuel ?profile
+let engine ?mem_bytes ?(checked = false) ?faults ?opt_level ?fuel ?profile
+    ?trace ?ccache () =
+  Terrastd.create ?mem_bytes ~checked ?faults ?opt_level ?fuel ?profile
     ?trace ?ccache ()
 
 (** Build an engine, pass it to [f].  Keeps engine knobs out of the test
@@ -74,10 +74,9 @@ let run_golden ?faults ?ccache ~checked name =
 
 (** Run a paper example from examples/programs/ and diff its output
     against a checked-in expected file from test/expected/. *)
-let run_expect_file ?(mem_bytes = 64 * 1024 * 1024) src_file expected_file ()
-    =
+let run_expect_file src_file expected_file () =
   let src = read_file (example src_file) in
-  let e = engine ~mem_bytes () in
+  let e = engine () in
   match Engine.run_capture_protected e ~file:src_file src with
   | out, Ok _ ->
       Alcotest.(check string) src_file (read_file (expected expected_file)) out

@@ -9,7 +9,7 @@ let checkf = Alcotest.(check (float 1e-6))
 let quick name f = Alcotest.test_case name `Quick f
 
 let small_ctx () =
-  Context.create ~mem_bytes:(64 * 1024 * 1024)
+  Context.create
     ~machine:(Tmachine.Machine.create Tmachine.Config.ivybridge_like)
     ()
 
@@ -103,7 +103,7 @@ let gemm_tests =
           Tmachine.Machine.create
             (Tmachine.Config.scaled Tmachine.Config.ivybridge_like)
         in
-        let ctx = Context.create ~mem_bytes:(64 * 1024 * 1024) ~machine () in
+        let ctx = Context.create ~machine () in
         let space =
           [
             { Tuner.Gemm.nb = 16; rm = 2; rn = 2; v = 2 };
@@ -126,7 +126,7 @@ let gemm_tests =
            results of search_par must equal sequential search bit for
            bit, at any worker count *)
         let make_ctx () =
-          Context.create ~mem_bytes:(64 * 1024 * 1024)
+          Context.create
             ~machine:
               (Tmachine.Machine.create
                  (Tmachine.Config.scaled Tmachine.Config.ivybridge_like))
@@ -168,7 +168,7 @@ let gemm_tests =
           Tmachine.Machine.create
             (Tmachine.Config.scaled Tmachine.Config.ivybridge_like)
         in
-        let ctx = Context.create ~mem_bytes:(64 * 1024 * 1024) ~machine () in
+        let ctx = Context.create ~machine () in
         let elem = Types.double in
         let good = { Tuner.Gemm.nb = 16; rm = 2; rn = 2; v = 2 } in
         let bad = { Tuner.Gemm.nb = 24; rm = 4; rn = 1; v = 4 } in
@@ -221,7 +221,7 @@ let gemm_tests =
           Tmachine.Machine.create
             (Tmachine.Config.scaled Tmachine.Config.ivybridge_like)
         in
-        let ctx = Context.create ~mem_bytes:(64 * 1024 * 1024) ~machine () in
+        let ctx = Context.create ~machine () in
         let elem = Types.double in
         let good = { Tuner.Gemm.nb = 16; rm = 2; rn = 2; v = 2 } in
         let doomed = { Tuner.Gemm.nb = 24; rm = 4; rn = 1; v = 4 } in
@@ -253,7 +253,7 @@ let gemm_tests =
 (* Orion *)
 
 let orion_ctx () =
-  Context.create ~mem_bytes:(128 * 1024 * 1024)
+  Context.create
     ~machine:
       (Tmachine.Machine.create
          (Tmachine.Config.scaled Tmachine.Config.ivybridge_like))

@@ -79,7 +79,6 @@ let run_reduced ?ccache ?(checked = false) ?opt_level ?machine ?(file = "t.t")
     src =
   let e =
     Terrastd.create
-      ~mem_bytes:(32 * 1024 * 1024)
       ~checked ?opt_level ?machine ?ccache ()
   in
   let out, r = Engine.run_capture_protected e ~file src in
@@ -613,7 +612,6 @@ let pack_tests =
 (* Composition: durable recovery replays against any cache state *)
 
 let durable_tests =
-  let mem_bytes = 10 * 1024 * 1024 in
   let config ?cache () =
     {
       Server.default_config with
@@ -621,7 +619,6 @@ let durable_tests =
       recycle_after = 64;
       checked = true;
       verify_rollback = true;
-      mem_bytes = Some mem_bytes;
       cache = (match cache with Some c -> Some c | None -> None);
     }
   in

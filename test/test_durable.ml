@@ -311,6 +311,61 @@ let durable_server ~dir ?(config = soak_config) ?(interval = 100) ?crash_at
   | Error d -> Alcotest.failf "enable_durability failed: %s" d.Diag.code);
   server
 
+(* Programs whose checkpoints are pinned byte for byte: code only,
+   malloc/free, and statics plus heap pages left written. *)
+let golden_srcs =
+  [
+    ("code", "terra f(n : int32) return n * 3 + 1 end print(f(7))");
+    ("alloc", alloc_src);
+    ( "pages",
+      "local std = terralib.includec(\"stdlib.h\") local g = global(int64) \
+       terra h() var p = [&int64](std.malloc(20000)) for i = 0, 2500 do \
+       p[i] = i * 7 end g = p[2499] return g end print(h())" );
+  ]
+
+(* Every file of a durable server's directory after [n] soak requests,
+   in name order. *)
+let durable_files n =
+  with_dir "golden" (fun dir ->
+      let server = durable_server ~dir ~interval:4 () in
+      for i = 1 to n do
+        ignore (feed server (soak_line i))
+      done;
+      close_journal server;
+      List.map
+        (fun f -> (f, read_bytes (Filename.concat dir f)))
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
+
+(* Checkpoint bytes, pinned: the arena's representation must never show
+   in what an engine or a durable server writes. *)
+let checkpoint_golden () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let engine_lines =
+    List.concat_map
+      (fun (mode, make) ->
+        List.map
+          (fun (name, src) ->
+            let eng = make () in
+            ignore (Engine.run_capture_protected eng src);
+            let blob =
+              with_ckpt_file (fun path ->
+                  checkpoint_to path eng;
+                  read_bytes path)
+            in
+            Printf.sprintf "engine %s %s %s" mode name (md5 blob))
+          golden_srcs)
+      [
+        ("plain", fun () -> Terrastd.create ~mem_bytes ());
+        ("checked", make_eng);
+      ]
+  in
+  let durable_lines =
+    List.map
+      (fun (f, data) -> Printf.sprintf "durable %s %s" f (md5 data))
+      (durable_files 10)
+  in
+  Harness.check_golden "checkpoint.golden" (engine_lines @ durable_lines)
+
 let plumbing_tests =
   [
     quick "a durable session journals, checkpoints, and recovers" (fun () ->
@@ -1102,7 +1157,9 @@ let sweep_tests =
 let () =
   Alcotest.run "durable"
     [
-      ("engine-checkpoints", engine_tests);
+      ( "engine-checkpoints",
+        quick "checkpoint bytes match the golden file" checkpoint_golden
+        :: engine_tests );
       ("journal-plumbing", plumbing_tests);
       ("torn-tails", torn_tests);
       ("kill-point-matrix", matrix_tests);

@@ -24,7 +24,7 @@ let fresh_ctx () =
     Tmachine.Machine.create
       (Tmachine.Config.scaled Tmachine.Config.ivybridge_like)
   in
-  Context.create ~mem_bytes:(64 * 1024 * 1024) ~machine ()
+  Context.create ~machine ()
 
 (* One benchmark row, exactly as bench/main.ml measures it: allocate and
    fill the matrices, then build the function, then run it. *)
@@ -176,10 +176,7 @@ let alloc_dgemm () =
    stores and branches, built directly in IR. *)
 let alloc_scalar_loop () =
   let open Tvm.Ir in
-  let vm =
-    Tvm.Vm.create ~mem_bytes:(16 * 1024 * 1024)
-      (Tmachine.Machine.create Tmachine.Config.test_tiny)
-  in
+  let vm = Tvm.Vm.create (Tmachine.Machine.create Tmachine.Config.test_tiny) in
   let buf = Tvm.Mem.heap_base vm.Tvm.Vm.mem in
   (* r0 = n, r1 = i, r2 = int acc, r3 = float acc, r4..r7 temps *)
   let code =

@@ -70,7 +70,7 @@ let tpool_tests =
    output, diagnostic (code + message, which embeds heap addresses for
    san traps), and the engine fingerprint after the run. *)
 let run_item (file, src) : string * string * string =
-  let eng = Terrastd.create ~checked:true ~mem_bytes:(32 * 1024 * 1024) () in
+  let eng = Terrastd.create ~checked:true () in
   let out, result = Terra.Engine.run_capture_protected eng ~file src in
   let diag =
     match result with
@@ -155,7 +155,7 @@ let pool_tests =
         let made = Atomic.make 0 in
         let make () =
           Atomic.incr made;
-          Terra.Engine.create ~mem_bytes:(8 * 1024 * 1024) ()
+          Terra.Engine.create ()
         in
         let pool = Serve.Pool.create ~make ~size:3 ~recycle_after:5 in
         let held = Array.init 3 (fun _ -> Atomic.make false) in
@@ -195,7 +195,7 @@ let pool_tests =
         let pool =
           Serve.Pool.create
             ~make:(fun () ->
-              Terra.Engine.create ~mem_bytes:(8 * 1024 * 1024) ())
+              Terra.Engine.create ())
             ~size:1 ~recycle_after:1000
         in
         let domains =
@@ -300,7 +300,6 @@ let ccache_tests =
                   pool_size = 4;
                   recycle_after = 1000;
                   checked = true;
-                  mem_bytes = Some (32 * 1024 * 1024);
                   workers;
                   cache = Some cc;
                 }
@@ -417,7 +416,6 @@ let admission_tests =
               Server.default_config with
               pool_size = 4;
               workers;
-              mem_bytes = Some (16 * 1024 * 1024);
             }
           in
           let out = path (Printf.sprintf "out-w%d.jsonl" workers) in

@@ -59,7 +59,6 @@ let mk_server ?(pool = 2) ?(recycle = 64) ?(checked = true) ?(verify = true)
       recycle_after = recycle;
       checked;
       verify_rollback = verify;
-      mem_bytes = Some (32 * 1024 * 1024);
       default_budget = budget;
     }
   in
@@ -465,7 +464,6 @@ let serve_tests =
             Server.default_config with
             pool_size = 1;
             checked = true;
-            mem_bytes = Some (32 * 1024 * 1024);
             max_line_bytes = 512;
           }
         in

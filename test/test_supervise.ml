@@ -758,10 +758,8 @@ let regression_tests =
               ambient.Mlua.Interp.max_call_depth;
             checki "steps untouched" 45678 ambient.Mlua.Interp.steps));
     quick "two engines with different budgets do not interfere" (fun () ->
-        let tight =
-          Terrastd.create ~mem_bytes:(8 * 1024 * 1024) ~lua_steps:40 ()
-        in
-        let roomy = Terrastd.create ~mem_bytes:(8 * 1024 * 1024) () in
+        let tight = Terrastd.create ~lua_steps:40 () in
+        let roomy = Terrastd.create () in
         let loop = "local s = 0\nfor i = 1, 1000 do s = s + i end\nprint(s)" in
         (match Engine.run_protected tight loop with
         | Error d -> checks "tight budget trips" "trap.steps" d.Diag.code

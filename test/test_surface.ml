@@ -5,7 +5,7 @@ let checks = Alcotest.(check string)
 let quick name f = Alcotest.test_case name `Quick f
 
 let run src =
-  let e = Terrastd.create ~mem_bytes:(64 * 1024 * 1024) () in
+  let e = Terrastd.create () in
   let out, _ = Terra.Engine.run_capture e src in
   String.trim out
 

@@ -11,7 +11,7 @@ let checki = Alcotest.(check int)
 let quick name f = Alcotest.test_case name `Quick f
 
 let run src =
-  let e = Engine.create ~mem_bytes:(32 * 1024 * 1024) () in
+  let e = Engine.create () in
   let out, _ = Engine.run_capture e src in
   String.trim out
 
@@ -20,7 +20,7 @@ let expect name src expected () = checks name expected (run src)
 (* Run through the protected boundary and assert a structured diagnostic
    with the expected phase/code (and optionally span line). *)
 let expect_diag name ?phase ?code ?line src () =
-  let e = Engine.create ~mem_bytes:(32 * 1024 * 1024) () in
+  let e = Engine.create () in
   match Engine.run_capture_protected e src with
   | _, Ok _ -> Alcotest.failf "%s: expected a diagnostic, got Ok" name
   | _, Error d ->
@@ -939,7 +939,7 @@ let diag_tests =
       (expect_diag "div0" ~phase:Diag.Run ~code:"trap.divzero"
          "terra f(a : int, b : int) : int return a / b end print(f(1, 0))");
     quick "infinite terra loop returns trap.fuel within budget" (fun () ->
-        let e = Engine.create ~mem_bytes:(32 * 1024 * 1024) ~fuel:100_000 () in
+        let e = Engine.create ~fuel:100_000 () in
         match
           Engine.run_protected e "terra spin() while true do end end spin()"
         with
@@ -948,9 +948,7 @@ let diag_tests =
             checks "code" "trap.fuel" d.Diag.code;
             checkb "is_trap" true (Diag.is_trap d));
     quick "runaway lua loop returns trap.steps" (fun () ->
-        let e =
-          Engine.create ~mem_bytes:(32 * 1024 * 1024) ~lua_steps:10_000 ()
-        in
+        let e = Engine.create ~lua_steps:10_000 () in
         match Engine.run_protected e "while true do end" with
         | Ok _ -> Alcotest.fail "expected trap.steps"
         | Error d -> checks "code" "trap.steps" d.Diag.code);
@@ -958,9 +956,7 @@ let diag_tests =
       (expect_diag "depth" ~phase:Diag.Eval ~code:"lua.error"
          "local function g() return g() end g()");
     quick "terra recursion hits the VM depth guard" (fun () ->
-        let e =
-          Engine.create ~mem_bytes:(32 * 1024 * 1024) ~max_call_depth:100 ()
-        in
+        let e = Engine.create ~max_call_depth:100 () in
         match
           Engine.run_protected e
             "terra f(n : int) : int return f(n + 1) end print(f(0))"
@@ -968,7 +964,7 @@ let diag_tests =
         | Ok _ -> Alcotest.fail "expected trap.stack"
         | Error d -> checks "code" "trap.stack" d.Diag.code);
     quick "diagnostic records the lua traceback" (fun () ->
-        let e = Engine.create ~mem_bytes:(32 * 1024 * 1024) () in
+        let e = Engine.create () in
         match
           Engine.run_protected e
             "local function inner() error('deep') end\n\
@@ -981,7 +977,7 @@ let diag_tests =
             checkb "has inner" true (List.mem "inner" names);
             checkb "has outer" true (List.mem "outer" names));
     quick "file name threads into the span" (fun () ->
-        let e = Engine.create ~mem_bytes:(32 * 1024 * 1024) () in
+        let e = Engine.create () in
         match
           Engine.run_protected e ~file:"prog.t"
             "terra f() : int return neverdefined end"
@@ -1017,7 +1013,7 @@ let diag_tests =
            print(ok, v)|}
          "false\tplain");
     quick "exit codes: one_line machine format is stable" (fun () ->
-        let e = Engine.create ~mem_bytes:(32 * 1024 * 1024) ~fuel:50_000 () in
+        let e = Engine.create ~fuel:50_000 () in
         match
           Engine.run_protected e ~file:"spin.t"
             "terra spin() while true do end end spin()"
@@ -1087,7 +1083,7 @@ let prop_protected_never_raises =
   QCheck.Test.make ~count:60 ~name:"run_protected never raises"
     (QCheck.make gen_src) (fun src ->
       let e =
-        Engine.create ~mem_bytes:(4 * 1024 * 1024) ~fuel:200_000
+        Engine.create ~fuel:200_000
           ~lua_steps:50_000 ~max_call_depth:64 ()
       in
       match Engine.run_capture_protected e src with

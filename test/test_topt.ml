@@ -11,10 +11,7 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
 let new_vm () =
-  let vm =
-    Vm.create ~mem_bytes:(16 * 1024 * 1024)
-      (Tmachine.Machine.create Tmachine.Config.test_tiny)
-  in
+  let vm = Vm.create (Tmachine.Machine.create Tmachine.Config.test_tiny) in
   Tvm.Builtins.install vm;
   vm
 
@@ -324,7 +321,7 @@ let golden_programs () =
 
 let run_at ?(checked = false) ~opt_level src name =
   let e =
-    Terrastd.create ~mem_bytes:(64 * 1024 * 1024) ~checked
+    Terrastd.create ~checked
       ~opt_level ()
   in
   let out, r = Terra.Engine.run_capture_protected e ~file:name src in
@@ -485,7 +482,7 @@ let per_function_lines label cfg funcs stats =
   @ [ Printf.sprintf "%s %s stats %s" label cfg (stats_summary stats) ]
 
 let engine_at ~opt_level ~checked =
-  Terrastd.create ~mem_bytes:(64 * 1024 * 1024) ~checked ~opt_level ()
+  Terrastd.create ~checked ~opt_level ()
 
 (* Run [src] on [e] from a fresh slice, returning its result tag and
    what it compiled. *)
@@ -562,7 +559,7 @@ let test_golden_gemm () =
              List.concat_map
                (fun (cfg, opt_level, checked) ->
                  let ctx =
-                   Terra.Context.create ~mem_bytes:(16 * 1024 * 1024) ~checked
+                   Terra.Context.create ~checked
                      ~opt_level ()
                  in
                  let kernel = Tuner.Gemm.genkernel ctx ~elem p in
@@ -595,7 +592,7 @@ let test_mandelbrot_fuel_reduction () =
     (reduction >= 15.0)
 
 let test_gemm_optstats_nonzero () =
-  let ctx = Terra.Context.create ~mem_bytes:(64 * 1024 * 1024) () in
+  let ctx = Terra.Context.create () in
   let elem = Terra.Types.double in
   let p = { Tuner.Gemm.nb = 32; rm = 4; rn = 2; v = 4 } in
   let kernel = Tuner.Gemm.genkernel ctx ~elem p in
@@ -614,9 +611,7 @@ let test_gemm_optstats_nonzero () =
 let test_gemm_fuel_reduction () =
   (* the blocked-GEMM acceptance criterion, at test scale *)
   let run level =
-    let ctx =
-      Terra.Context.create ~mem_bytes:(64 * 1024 * 1024) ~opt_level:level ()
-    in
+    let ctx = Terra.Context.create ~opt_level:level () in
     let elem = Terra.Types.double in
     let n = 48 in
     let m = Tuner.Gemm.alloc_matrices ctx ~elem n in
@@ -646,7 +641,7 @@ let test_gemm_fuel_reduction () =
 (* Vector-register spill path (compile.ml satellite) *)
 
 let test_spill_path_matches_no_spill () =
-  let ctx = Terra.Context.create ~mem_bytes:(128 * 1024 * 1024) () in
+  let ctx = Terra.Context.create () in
   let elem = Terra.Types.double in
   let n = 48 in
   (* RM=8 x RN=2 at V=4 wants 16+ vector registers: forces spills *)

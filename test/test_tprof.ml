@@ -301,7 +301,7 @@ print(churn())
 let engine_tests =
   [
     quick "profile total equals the fuel accounting (mandelbrot)" (fun () ->
-        Harness.with_engine ~mem_bytes:(64 * 1024 * 1024) ~profile:true
+        Harness.with_engine ~profile:true
           (fun e ->
             let _ = Harness.run_ok e (mandel_src ()) in
             let r = Engine.profile e in
@@ -309,7 +309,7 @@ let engine_tests =
             checkb "something ran" true (r.Report.total > 0)));
     quick "profiles are byte-identical across runs" (fun () ->
         let run () =
-          Harness.with_engine ~mem_bytes:(64 * 1024 * 1024) ~profile:true
+          Harness.with_engine ~profile:true
             (fun e ->
               let _ = Harness.run_ok e (mandel_src ()) in
               Engine.profile_text e)
@@ -317,7 +317,7 @@ let engine_tests =
         checks "profile text" (run ()) (run ()));
     quick "profiling changes neither output nor fuel" (fun () ->
         let run profile =
-          Harness.with_engine ~mem_bytes:(64 * 1024 * 1024) ~profile (fun e ->
+          Harness.with_engine ~profile (fun e ->
               let out = Harness.run_ok e (mandel_src ()) in
               (out, Engine.fuel_used e))
         in
@@ -485,7 +485,7 @@ let gate_tests =
     quick "opt2 mandelbrot retires >=20% fewer instructions than opt0"
       (fun () ->
         let total level =
-          Harness.with_engine ~mem_bytes:(64 * 1024 * 1024) ~opt_level:level
+          Harness.with_engine ~opt_level:level
             ~profile:true (fun e ->
               let _ = Harness.run_ok e (mandel_src ()) in
               (Engine.profile e).Report.total)
@@ -500,10 +500,7 @@ let gate_tests =
     quick "opt2 blocked DGEMM retires >=30% fewer instructions than opt0"
       (fun () ->
         let run level =
-          let ctx =
-            Terra.Context.create ~mem_bytes:(128 * 1024 * 1024)
-              ~opt_level:level ()
-          in
+          let ctx = Terra.Context.create ~opt_level:level () in
           let elem = Terra.Types.double in
           let n = 96 in
           let m = Tuner.Gemm.alloc_matrices ctx ~elem n in

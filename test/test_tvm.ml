@@ -9,10 +9,7 @@ let checkf = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
 
 let new_vm () =
-  let vm =
-    Vm.create ~mem_bytes:(16 * 1024 * 1024)
-      (Tmachine.Machine.create Tmachine.Config.test_tiny)
-  in
+  let vm = Vm.create (Tmachine.Machine.create Tmachine.Config.test_tiny) in
   Builtins.install vm;
   vm
 
@@ -22,8 +19,8 @@ let new_vm () =
 (* An arena whose whole static region is allocated, so the low addresses
    these tests use as scratch are addressable: statics past the bump
    pointer fault. *)
-let scratch_mem ?(bytes = 16 * 1024 * 1024) () =
-  let m = Mem.create ~bytes () in
+let scratch_mem ?bytes () =
+  let m = Mem.create ?bytes () in
   ignore (Mem.alloc_static m ~align:1 (Mem.heap_base m - Mem.statics_base));
   m
 
@@ -49,13 +46,13 @@ let test_mem_little_endian () =
   checki "LE byte 3" 4 (Mem.get_u8 m 8195)
 
 let test_mem_null_faults () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   Alcotest.check_raises "null deref"
     (Mem.Fault (0, "load u8"))
     (fun () -> ignore (Mem.get_u8 m 0))
 
 let test_mem_oob_faults () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   checkb "oob traps" true
     (match Mem.get_i64 m (Mem.size m + 10) with
     | exception Mem.Fault _ -> true
@@ -114,7 +111,7 @@ let test_blit () =
   checki64 "copied" 42L (Mem.get_i64 m 9000)
 
 let test_alloc_static_aligned () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Mem.alloc_static m ~align:1 3 in
   let b = Mem.alloc_static m ~align:16 8 in
   checki "aligned" 0 (b mod 16);
@@ -124,7 +121,7 @@ let test_alloc_static_aligned () =
 (* Allocator *)
 
 let test_malloc_basic () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Alloc.create m in
   let p1 = Alloc.malloc a 100 in
   let p2 = Alloc.malloc a 100 in
@@ -135,7 +132,7 @@ let test_malloc_basic () =
   checki "all freed" 0 (Alloc.live_blocks a)
 
 let test_free_reuse () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Alloc.create m in
   let p1 = Alloc.malloc a (1 lsl 20) in
   Alloc.free a p1;
@@ -143,7 +140,7 @@ let test_free_reuse () =
   checkb "space reused" true (p2 <= p1 + 1024)
 
 let test_double_free_rejected () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Alloc.create m in
   let p = Alloc.malloc a 64 in
   Alloc.free a p;
@@ -151,12 +148,12 @@ let test_double_free_rejected () =
       Alloc.free a p)
 
 let test_free_null_ok () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Alloc.create m in
   Alloc.free a 0
 
 let test_realloc_copies () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Alloc.create m in
   let p = Alloc.malloc a 16 in
   Mem.set_i64 m p 777L;
@@ -164,7 +161,7 @@ let test_realloc_copies () =
   checki64 "contents copied" 777L (Mem.get_i64 m q)
 
 let test_oom () =
-  let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+  let m = Mem.create () in
   let a = Alloc.create m in
   checkb "OOM raised" true
     (match Alloc.malloc a (1 lsl 62) with
@@ -175,7 +172,7 @@ let prop_no_overlap =
   QCheck.Test.make ~count:50 ~name:"live blocks never overlap"
     QCheck.(list_of_size Gen.(int_range 1 40) (int_range 1 4096))
     (fun sizes ->
-      let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+      let m = Mem.create () in
       let a = Alloc.create m in
       let ptrs = List.map (fun s -> (Alloc.malloc a s, s)) sizes in
       (* free every other block, then allocate again *)
@@ -192,7 +189,7 @@ let prop_malloc_free_balance =
   QCheck.Test.make ~count:50 ~name:"free restores live_bytes"
     QCheck.(list_of_size Gen.(int_range 1 30) (int_range 1 10000))
     (fun sizes ->
-      let m = Mem.create ~bytes:(16 * 1024 * 1024) () in
+      let m = Mem.create () in
       let a = Alloc.create m in
       let ptrs = List.map (Alloc.malloc a) sizes in
       List.iter (Alloc.free a) ptrs;
@@ -208,7 +205,7 @@ let test_unallocated_statics_fault () =
   List.iter
     (fun checked ->
       let mk () =
-        Vm.create ~mem_bytes:(16 * 1024 * 1024) ~checked
+        Vm.create ~checked
           (Tmachine.Machine.create Tmachine.Config.test_tiny)
       in
       let vm = mk () in
@@ -474,6 +471,354 @@ let prop_fingerprint_audit =
       fp_ok "restored copy, statics mark"
         (Vm.fingerprint ~statics_upto:upto vm)
         (Vm.fingerprint ~statics_upto:upto vm2);
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Arena cost *)
+
+(* The process's peak resident set in kB, or [None] without /proc. *)
+let vm_hwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun l -> Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id)
+        (String.split_on_char '\n' status)
+
+(* Two checked 64 MiB engines hold 256 MiB of arena and shadow map, but
+   write only a few pages: their memory must cost about what they
+   touch.  It runs first in this executable, before other tests raise
+   the peak it measures. *)
+let test_engine_costs_what_it_touches () =
+  match vm_hwm_kb () with
+  | None -> Alcotest.skip ()
+  | Some before ->
+      let vms =
+        List.init 2 (fun _ ->
+            let vm =
+              Vm.create ~mem_bytes:(64 * 1024 * 1024) ~checked:true
+                (Tmachine.Machine.create Tmachine.Config.test_tiny)
+            in
+            for _ = 1 to 4 do
+              let p = Alloc.malloc vm.Vm.alloc 5000 in
+              Mem.fill vm.Vm.mem p 5000 'x'
+            done;
+            Mem.set_i64 vm.Vm.mem (Mem.stack_top vm.Vm.mem - 8) 1L;
+            ignore (Vm.fingerprint vm);
+            vm)
+      in
+      let grew = Option.get (vm_hwm_kb ()) - before in
+      ignore (Sys.opaque_identity vms);
+      if grew >= 32 * 1024 then
+        Alcotest.failf "peak RSS grew by %d kB for two engines" grew
+
+(* ------------------------------------------------------------------ *)
+(* Mem against a reference model *)
+
+(* The model is a plain [Bytes.t] the size of the arena, a statics
+   pointer, and for an open transaction a copy of both.  It answers
+   which accesses fault from [Mem.check]'s rules written out again. *)
+type model = {
+  mb : Bytes.t;
+  mutable mptr : int;
+  mutable mtx : (Mem.txn * Bytes.t * int) option;
+      (** Mem's transaction, the model's pre-image and statics floor *)
+  mutable msaved : ((int * string * (int * string) list) * Bytes.t) option;
+      (** a capture: Mem's image, and the model's bytes *)
+}
+
+let model_faults md addr len =
+  let limit = 1 lsl 20 in
+  len < 0 || addr < Mem.statics_base
+  || addr > Bytes.length md.mb - len
+  || (addr < limit && addr + len > md.mptr && md.mptr < limit)
+
+(* The model's [heap_pages]: every non-zero page at or above the heap. *)
+let model_pages md =
+  let acc = ref [] in
+  for p = (Bytes.length md.mb / 4096) - 1 downto (1 lsl 20) / 4096 do
+    let rec zero i =
+      i = 4096
+      || (Bytes.get_int64_ne md.mb ((p * 4096) + i) = 0L && zero (i + 8))
+    in
+    if not (zero 0) then
+      acc := (p * 4096, Bytes.sub_string md.mb (p * 4096) 4096) :: !acc
+  done;
+  !acc
+
+let mem_fails f = match f () with () -> false | exception Mem.Fault _ -> true
+
+let model_fails md addr len f =
+  if model_faults md addr len then true
+  else begin
+    f ();
+    false
+  end
+
+let model_store md w a v =
+  let b = md.mb in
+  match w with
+  | 0 -> model_fails md a 1 (fun () -> Bytes.set_uint8 b a (v land 0xff))
+  | 1 -> model_fails md a 2 (fun () -> Bytes.set_uint16_le b a (v land 0xffff))
+  | 2 -> model_fails md a 4 (fun () -> Bytes.set_int32_le b a (Int32.of_int v))
+  | 3 -> model_fails md a 8 (fun () -> Bytes.set_int64_le b a (Int64.of_int v))
+  | 4 ->
+      model_fails md a 4 (fun () ->
+          Bytes.set_int32_le b a (Int32.bits_of_float (float_of_int v)))
+  | _ ->
+      model_fails md a 8 (fun () ->
+          Bytes.set_int64_le b a (Int64.bits_of_float (float_of_int v)))
+
+(* A checkpoint's two halves must equal the model's. *)
+let ref_image m md =
+  if Mem.statics_image m <> Bytes.sub_string md.mb 0 md.mptr then
+    QCheck.Test.fail_report "statics_image differs from the model";
+  if Mem.heap_pages m <> model_pages md then
+    QCheck.Test.fail_report "heap_pages differs from the model"
+
+(* Apply one op to both; they must agree on whether it faults. *)
+let ref_apply m md op =
+  let agree what mem_f model_f =
+    let a = mem_fails mem_f and b = model_f () in
+    if a <> b then
+      QCheck.Test.fail_reportf "%s: Mem %s, model %s" what
+        (if a then "faults" else "succeeds")
+        (if b then "faults" else "succeeds")
+  in
+  let name = pp_fp_op op in
+  match op with
+  | Store (w, a, v) ->
+      agree name
+        (fun () ->
+          match w with
+          | 0 -> Mem.set_u8 m a v
+          | 1 -> Mem.set_u16 m a v
+          | 2 -> Mem.set_i32 m a (Int32.of_int v)
+          | 3 -> Mem.set_i64 m a (Int64.of_int v)
+          | 4 -> Mem.set_f32 m a (float_of_int v)
+          | _ -> Mem.set_f64 m a (float_of_int v))
+        (fun () -> model_store md w a v)
+  | Lanes (d, a, n) ->
+      (* lanes are stored one by one, so a fault leaves the ones before *)
+      let lanes = Array.init n float_of_int in
+      agree name
+        (fun () -> if d then Mem.set_f64s m a lanes else Mem.set_f32s m a lanes)
+        (fun () ->
+          let w = if d then 8 else 4 in
+          let rec go i =
+            i < n
+            && (model_store md (if d then 5 else 4) (a + (w * i)) i
+               || go (i + 1))
+          in
+          go 0)
+  | Blit (src, dst, len) ->
+      agree name
+        (fun () -> Mem.blit m ~src ~dst ~len)
+        (fun () ->
+          model_faults md src len
+          || model_fails md dst len (fun () ->
+                 Bytes.blit md.mb src md.mb dst len))
+  | Fill (a, n, c) ->
+      agree name
+        (fun () -> Mem.fill m a n (Char.chr c))
+        (fun () ->
+          model_fails md a n (fun () -> Bytes.fill md.mb a n (Char.chr c)))
+  | Cstring (a, s) ->
+      let n = String.length s in
+      agree name
+        (fun () -> Mem.set_cstring m a s)
+        (fun () ->
+          model_fails md a (n + 1) (fun () ->
+              Bytes.blit_string s 0 md.mb a n;
+              Bytes.set md.mb (a + n) '\000'))
+  | Static n ->
+      agree name
+        (fun () -> ignore (Mem.alloc_static m ~align:8 n))
+        (fun () ->
+          let addr = (md.mptr + 7) / 8 * 8 in
+          if addr + n > 1 lsl 20 then true
+          else begin
+            md.mptr <- addr + n;
+            false
+          end);
+      (* a non-zero newest static byte: a statics image or a rollback
+         that loses the tail of the statics must show *)
+      Mem.set_u8 m (md.mptr - 1) 0x5a;
+      Bytes.set md.mb (md.mptr - 1) '\x5a'
+  | Malloc _ | Free -> ()
+  | Begin when md.mtx = None ->
+      md.mtx <- Some (Mem.begin_txn m, Bytes.copy md.mb, md.mptr)
+  | Rollback | Commit -> (
+      match md.mtx with
+      | Some (tx, pre, floor) ->
+          if op = Rollback then begin
+            Mem.rollback m tx;
+            (* the monotone statics [floor, statics_limit) keep their
+               writes *)
+            let kept = Bytes.sub md.mb floor ((1 lsl 20) - floor) in
+            Bytes.blit pre 0 md.mb 0 (Bytes.length pre);
+            Bytes.blit kept 0 md.mb floor (Bytes.length kept)
+          end
+          else Mem.commit m tx;
+          md.mtx <- None
+      | None -> ())
+  | Capture when md.mtx = None ->
+      ref_image m md;
+      md.msaved <-
+        Some
+          ( (Mem.statics_mark m, Mem.statics_image m, Mem.heap_pages m),
+            Bytes.copy md.mb )
+  | Restore when md.mtx = None -> (
+      match md.msaved with
+      | Some ((statics_ptr, statics, pages), img) ->
+          Mem.load_image m ~statics_ptr ~statics ~pages;
+          Bytes.blit img 0 md.mb 0 (Bytes.length img);
+          md.mptr <- statics_ptr
+      | None -> ())
+  | Begin | Capture | Restore -> ()
+
+let load_widths = [| "u8"; "i8"; "u16"; "i16"; "i32"; "i64"; "f32"; "f64" |]
+
+(* A load from Mem and the model, as an int64 of the value's bits, or
+   [None] when it faults. *)
+let ref_load m md (w, a) =
+  let mem =
+    try
+      Some
+        (match w with
+        | 0 -> Int64.of_int (Mem.get_u8 m a)
+        | 1 -> Int64.of_int (Mem.get_i8 m a)
+        | 2 -> Int64.of_int (Mem.get_u16 m a)
+        | 3 -> Int64.of_int (Mem.get_i16 m a)
+        | 4 -> Int64.of_int32 (Mem.get_i32 m a)
+        | 5 -> Mem.get_i64 m a
+        | 6 -> Int64.bits_of_float (Mem.get_f32 m a)
+        | _ -> Int64.bits_of_float (Mem.get_f64 m a))
+    with Mem.Fault _ -> None
+  in
+  let len = [| 1; 1; 2; 2; 4; 8; 4; 8 |].(w) in
+  let b = md.mb in
+  let model =
+    if model_faults md a len then None
+    else
+      Some
+        (match w with
+        | 0 -> Int64.of_int (Bytes.get_uint8 b a)
+        | 1 -> Int64.of_int (Bytes.get_int8 b a)
+        | 2 -> Int64.of_int (Bytes.get_uint16_le b a)
+        | 3 -> Int64.of_int (Bytes.get_int16_le b a)
+        | 4 -> Int64.of_int32 (Bytes.get_int32_le b a)
+        | 6 ->
+            Int64.bits_of_float (Int32.float_of_bits (Bytes.get_int32_le b a))
+        | _ -> Bytes.get_int64_le b a)
+  in
+  if mem <> model then
+    let show = function None -> "fault" | Some v -> Printf.sprintf "%#Lx" v in
+    QCheck.Test.fail_reportf "load %s %#x: Mem %s, model %s" load_widths.(w) a
+      (show mem) (show model)
+
+(* Loads near the ops' targets, and anywhere in the arena (mostly pages
+   nothing wrote, which must read zero). *)
+let gen_load =
+  let open QCheck.Gen in
+  pair (int_range 0 7)
+    (oneof [ gen_fp_addr; int_range 0 (fp_arena - 1) ])
+
+(* The fingerprint property's ops; more captures and restores; small
+   statics, which leave the statics mark inside a page; blits that
+   overlap their source, either way; and stores anywhere, which leave
+   pages with a few non-zero bytes *)
+let gen_ref_step =
+  let open QCheck.Gen in
+  pair
+    (frequency
+       [
+         (8, gen_fp_op);
+         (1, return Capture);
+         (1, return Restore);
+         (1, map (fun n -> Static n) (int_range 1 300));
+         ( 2,
+           map3
+             (fun s d n -> Blit (s, s + d, n))
+             gen_fp_addr (int_range (-64) 64) (int_range 1 9000) );
+         ( 2,
+           map3
+             (fun w a v -> Store (w, a, v))
+             (int_range 0 5)
+             (int_range 0 (fp_arena - 1))
+             (int_range 1 max_int) );
+       ])
+    (list_size (int_range 0 3) gen_load)
+
+(* Single steps, and transactions of a few steps that end in a rollback
+   or a commit, as in [gen_fp_history] *)
+let gen_ref_history =
+  let open QCheck.Gen in
+  let txn =
+    let* body = list_size (int_range 1 4) gen_ref_step in
+    let* fin = frequency [ (3, return Rollback); (1, return Commit) ] in
+    return (((Begin, []) :: body) @ [ (fin, []) ])
+  in
+  map List.concat
+    (list_size (int_range 1 12)
+       (frequency [ (3, map (fun s -> [ s ]) gen_ref_step); (2, txn) ]))
+
+(* Every addressable word of the arena, against the model *)
+let ref_sweep m md =
+  let a = ref Mem.statics_base in
+  while !a + 8 <= fp_arena do
+    if
+      (not (model_faults md !a 8))
+      && Mem.get_i64 m !a <> Bytes.get_int64_le md.mb !a
+    then QCheck.Test.fail_reportf "word %#x differs from the model" !a;
+    a := !a + 8
+  done
+
+let prop_mem_reference =
+  QCheck.Test.make ~count:60 ~name:"Mem = Bytes reference model"
+    (QCheck.make
+       ~print:(fun steps ->
+         String.concat "; "
+           (List.map
+              (fun (op, loads) ->
+                pp_fp_op op
+                ^ String.concat ""
+                    (List.map
+                       (fun (w, a) ->
+                         Printf.sprintf " [%s %#x]" load_widths.(w) a)
+                       loads))
+              steps))
+       gen_ref_history)
+    (fun steps ->
+      let m = Mem.create ~bytes:fp_arena () in
+      let md =
+        { mb = Bytes.make fp_arena '\000'; mptr = Mem.statics_base;
+          mtx = None; msaved = None }
+      in
+      (* the fingerprint property's set-up: allocated statics pages and a
+         distinct byte per target page *)
+      ref_apply m md (Static (7 * 4096));
+      List.iteri
+        (fun i region ->
+          for p = 0 to 6 do
+            ref_apply m md (Fill (region + (p * 4096), 4096, 1 + (8 * i) + p))
+          done)
+        fp_regions;
+      List.iter
+        (fun (op, loads) ->
+          ref_apply m md op;
+          (* every width read back where the op wrote *)
+          let written =
+            match op with
+            | Store (_, a, _) | Lanes (_, a, _) | Fill (a, _, _)
+            | Cstring (a, _) | Blit (_, a, _) ->
+                List.init 8 (fun w -> (w, a))
+            | _ -> []
+          in
+          List.iter (ref_load m md) (written @ loads))
+        steps;
+      ref_image m md;
+      ref_sweep m md;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -1151,9 +1496,7 @@ let test_validate_compiled_examples () =
       let src = In_channel.with_open_bin path In_channel.input_all in
       List.iter
         (fun opt_level ->
-          let e =
-            Terrastd.create ~mem_bytes:(64 * 1024 * 1024) ~opt_level ()
-          in
+          let e = Terrastd.create ~opt_level () in
           let _, r = Terra.Engine.run_capture_protected e ~file:path src in
           checkb (prog ^ " runs") true (Result.is_ok r);
           let vm = e.Terra.Engine.ctx.Terra.Context.vm in
@@ -1214,6 +1557,8 @@ let () =
     [
       ( "mem",
         [
+          Alcotest.test_case "an engine costs what it touches" `Quick
+            test_engine_costs_what_it_touches;
           Alcotest.test_case "scalar roundtrip" `Quick test_mem_roundtrip;
           Alcotest.test_case "little endian" `Quick test_mem_little_endian;
           Alcotest.test_case "null faults" `Quick test_mem_null_faults;
@@ -1231,6 +1576,7 @@ let () =
           Alcotest.test_case "unallocated statics fault" `Quick
             test_unallocated_statics_fault;
           QCheck_alcotest.to_alcotest prop_fingerprint_audit;
+          QCheck_alcotest.to_alcotest prop_mem_reference;
         ] );
       ( "alloc",
         [
