@@ -43,15 +43,6 @@ let record ~experiment ~series ?(n = 0) ?gflops ?fuel () =
 let current_experiment = ref ""
 let profiled_ctxs : (string * Context.t) list ref = ref []
 
-(* Host wall-clock per experiment (CLOCK_MONOTONIC, ns): the modeled
-   GFLOPS/fuel numbers are deterministic, so this is the only place the
-   harness's real speed shows up — the trajectory the committed
-   BENCH_*.json snapshots track. *)
-let wall_ns : (string * int64) list ref = ref []
-
-let record_wall ~experiment ns =
-  wall_ns := (experiment, ns) :: !wall_ns
-
 let register_profile ctx =
   if !current_experiment <> "" then
     profiled_ctxs := (!current_experiment, ctx) :: !profiled_ctxs
@@ -59,62 +50,39 @@ let register_profile ctx =
 let profiles_json () =
   (* first-registered context per experiment, in registration order *)
   let seen = Hashtbl.create 8 in
-  let ordered =
-    List.fold_left
-      (fun acc (name, ctx) ->
-        if Hashtbl.mem seen name then acc
-        else begin
-          Hashtbl.replace seen name ();
-          (name, ctx) :: acc
-        end)
-      []
-      (List.rev !profiled_ctxs)
-  in
-  List.rev_map
+  List.filter_map
     (fun (name, ctx) ->
-      Printf.sprintf "    \"%s\": %s" (Tprof.Json.escape name)
-        (Tprof.Report.to_json (Context.profile ctx)))
-    ordered
+      if Hashtbl.mem seen name then None
+      else begin
+        Hashtbl.replace seen name ();
+        Some (name, Tprof.Report.to_json_value (Context.profile ctx))
+      end)
+    (List.rev !profiled_ctxs)
 
 let write_json path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n  \"schema\": \"terra-bench-3\",\n  \"results\": [\n";
-      let rows = List.rev !json_rows in
-      List.iteri
-        (fun i r ->
-          let fields =
-            [
-              Printf.sprintf "\"experiment\": \"%s\""
-                (Tprof.Json.escape r.jr_experiment);
-              Printf.sprintf "\"series\": \"%s\""
-                (Tprof.Json.escape r.jr_series);
-              Printf.sprintf "\"n\": %d" r.jr_n;
-            ]
-            @ (match r.jr_gflops with
-              | Some g -> [ Printf.sprintf "\"gflops\": %.6f" g ]
-              | None -> [])
-            @
-            match r.jr_fuel with
-            | Some f -> [ Printf.sprintf "\"fuel\": %d" f ]
-            | None -> []
-          in
-          Printf.fprintf oc "    {%s}%s\n"
-            (String.concat ", " fields)
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ],\n  \"wall_ns\": {\n";
-      let timings = List.rev !wall_ns in
-      List.iteri
-        (fun i (name, ns) ->
-          Printf.fprintf oc "    \"%s\": %Ld%s\n" (Tprof.Json.escape name) ns
-            (if i = List.length timings - 1 then "" else ","))
-        timings;
-      output_string oc "  },\n  \"profiles\": {\n";
-      output_string oc (String.concat ",\n" (profiles_json ()));
-      output_string oc "\n  }\n}\n");
+  let row r =
+    Tprof.Json.Obj
+      ([
+         ("experiment", Tprof.Json.Str r.jr_experiment);
+         ("series", Tprof.Json.Str r.jr_series);
+         ("n", Tprof.Json.Int r.jr_n);
+       ]
+      @ Option.to_list
+          (Option.map (fun g -> ("gflops", Tprof.Json.Float g)) r.jr_gflops)
+      @ Option.to_list
+          (Option.map (fun f -> ("fuel", Tprof.Json.Int f)) r.jr_fuel))
+  in
+  let report =
+    Tprof.Json.Obj
+      [
+        ("schema", Tprof.Json.Str "terra-bench-4");
+        ("results", Tprof.Json.List (List.rev_map row !json_rows));
+        ("profiles", Tprof.Json.Obj (profiles_json ()));
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Tprof.Json.to_string report);
+      output_char oc '\n');
   Printf.printf "\nwrote %d benchmark rows to %s\n" (List.length !json_rows) path
 
 let fresh_ctx ?opt_level () =
@@ -920,8 +888,7 @@ let recover_bench () =
                 series
                 (Int64.to_float ns /. 1e6)
                 (jint "barrier") (jint "replayed") requests;
-              record ~experiment:"recover" ~series ~n:requests ();
-              record_wall ~experiment:("recover/" ^ series) ns))
+              record ~experiment:"recover" ~series ~n:requests ()))
     [ ("ckpt-heavy", 32); ("replay-heavy", 1000) ]
 
 (* ------------------------------------------------------------------ *)
@@ -995,7 +962,6 @@ let ccache_bench () =
           (Int64.to_float ns /. 1e6)
           hits misses stores;
         record ~experiment:"ccache" ~series ~n:nfuncs ();
-        record_wall ~experiment:("ccache/" ^ series) ns;
         (e, compile_ms)
       in
       Printf.printf "%d terra functions per engine:\n%!" nfuncs;
@@ -1050,13 +1016,7 @@ let () =
       match List.assoc_opt name experiments with
       | Some f ->
           current_experiment := name;
-          let t0 = Monotonic_clock.now () in
-          Fun.protect
-            ~finally:(fun () ->
-              record_wall ~experiment:name
-                (Int64.sub (Monotonic_clock.now ()) t0);
-              current_experiment := "")
-            f
+          Fun.protect ~finally:(fun () -> current_experiment := "") f
       | None ->
           Printf.eprintf "unknown experiment %s; available: %s\n" name
             (String.concat " " (List.map fst experiments)))

@@ -191,16 +191,22 @@ let oob_src =
    [&int32](std.malloc(16)) p[5] = 1 std.free([&uint8](p)) return 0 end \
    print(bad())"
 
+let leak_src =
+  "local std = terralib.includec(\"stdlib.h\") terra l() var p = \
+   [&int32](std.malloc(64)) p[0] = 1 return p[0] end print(l())"
+
 (* The soak mix: mostly well-behaved, plus deterministic traps (breaker
    traffic), a sanitizer violation (rollback traffic), injected
-   transient faults (retry traffic), and a malformed line (parse-error
-   traffic).  Everything here is journaled, so committed seq == served. *)
+   transient faults (retry traffic), a malformed line (parse-error
+   traffic), and a leak (recycle traffic).  Everything here is
+   journaled, so committed seq == served. *)
 let soak_line i =
   match i mod 10 with
   | 0 -> run_line ~src:oob_src ~tenant:"hostile" ()
   | 3 | 6 -> run_line ~src:divzero_src ~tenant:"spiky" ()
   | 9 -> run_line ~src:alloc_src ~tenant:"flaky" ~fail_alloc:1 ~retries:2 ()
   | 5 when i mod 50 = 25 -> "{\"op\":"
+  | 8 when i mod 50 = 38 -> run_line ~src:leak_src ~tenant:"leaky" ()
   | 1 | 4 | 7 -> run_line ~src:alloc_src ~tenant:"web" ()
   | _ -> run_line ~src:good_src ~tenant:"web" ()
 
@@ -227,6 +233,9 @@ type refpoint = {
   rp_served : int;
   rp_tenants : Tenant.snapshot list;
   rp_fps : string array;
+  rp_pool : string;
+      (** the status pool block: wear and recycle counters, per-slot
+          live bytes and fingerprints *)
 }
 
 let refpoint_of (server : Server.t) fps =
@@ -234,6 +243,7 @@ let refpoint_of (server : Server.t) fps =
     rp_served = server.Server.served;
     rp_tenants = List.map Tenant.snapshot (Tenant.all server.Server.tenants);
     rp_fps = Array.copy fps;
+    rp_pool = Json.to_string (Pool.status_json server.Server.pool);
   }
 
 (* Drive [n] soak requests through a durable server, recording the
@@ -264,7 +274,9 @@ let check_refpoint ~ctx (refs : refpoint array) (server : Server.t) k =
     (fun id fp ->
       checks (Printf.sprintf "%s: slot %d fingerprint" ctx id) fp
         (slot_fp server id))
-    rp.rp_fps
+    rp.rp_fps;
+  checks (ctx ^ ": pool status") rp.rp_pool
+    (Json.to_string (Pool.status_json server.Server.pool))
 
 let recover_ok ~ctx ?(config = soak_config) ?(interval = 100) dir =
   match Server.recover ~config ~dir ~interval () with
@@ -415,7 +427,40 @@ let plumbing_tests =
             match Server.recover ~config:soak_config ~dir () with
             | Ok _ -> Alcotest.fail "recovered without a checkpoint"
             | Error d ->
-                checks "no-checkpoint" "recover.no-checkpoint" d.Diag.code));
+                checks "no-checkpoint" "recover.no-checkpoint" d.Diag.code);
+        (* only format-1 checkpoints: fingerprints are page-digest roots
+           since format 2, so a format-1 journal's recorded fingerprints
+           cannot tie out, and recovery refuses it at the magic, never
+           as a fingerprint mismatch.  The magic lies outside the
+           digest, so only it changes. *)
+        with_dir "format1" (fun dir ->
+            let server = durable_server ~dir ~interval:4 () in
+            for i = 1 to 9 do
+              ignore (feed server (soak_line i))
+            done;
+            close_journal server;
+            let v2 = "TERRASRV2\n" in
+            let n = String.length v2 in
+            let ckpts =
+              List.filter
+                (String.starts_with ~prefix:"ckpt-")
+                (Array.to_list (Sys.readdir dir))
+            in
+            checkb "checkpoints were written" true (ckpts <> []);
+            List.iter
+              (fun f ->
+                let path = Filename.concat dir f in
+                let blob = read_bytes path in
+                checks (f ^ ": current magic") v2 (String.sub blob 0 n);
+                write_bytes path
+                  ("TERRASRV1\n" ^ String.sub blob n (String.length blob - n)))
+              ckpts;
+            match Server.recover ~config:soak_config ~dir () with
+            | Ok _ -> Alcotest.fail "format-1 checkpoints recovered"
+            | Error d ->
+                checks "format-1" "recover.no-checkpoint" d.Diag.code;
+                checkb "the refusal names the bad magic" true
+                  (Harness.contains_sub ~sub:"bad magic" d.Diag.message)));
     quick "a run record that pins no grant fails recovery" (fun () ->
         (* every run record this journal format writes pins its grant;
            one without it is damage, not a legacy journal to recompute *)
@@ -607,6 +652,8 @@ let matrix_tests =
                 close_journal server;
                 checkb "the soak produced a real event stream" true
                   (events > 2 * requests);
+                checkb "the soak recycled leaky engines" true
+                  (server.Server.pool.Pool.recycled_leak > 0);
                 let discards = ref 0 in
                 for n = 1 to events do
                   let ctx = Printf.sprintf "event %d" n in
@@ -646,7 +693,22 @@ let matrix_tests =
                         true
                         (jget report "torn" = Json.Null);
                       check_refpoint ~ctx refs recovered k;
-                      close_journal recovered
+                      close_journal recovered;
+                      (* recover-after-recover: the recovered session
+                         recovers again to the same seq, and resumed
+                         with the rest of the workload it ends where
+                         the uninterrupted run did *)
+                      if n mod 97 = 0 then begin
+                        let again, report = recover_ok ~ctx d in
+                        checki (ctx ^ ": second recovery, same seq") k
+                          (jint report "seq");
+                        for i = k + 1 to requests do
+                          ignore (feed again (soak_line i))
+                        done;
+                        check_refpoint ~ctx:(ctx ^ ", resumed") refs again
+                          requests;
+                        close_journal again
+                      end
                 done;
                 (* the matrix must have exercised the in-flight case *)
                 checkb "some kill points caught a request mid-flight" true
@@ -857,6 +919,13 @@ let par_matrix_tests =
                 in
                 let code, out = run_session server lines in
                 checki "the parallel soak drains clean" 0 code;
+                let tenants_but_mem (sv : Server.t) =
+                  List.map
+                    (fun t ->
+                      { (Tenant.snapshot t) with Tenant.ts_mem_used = 0 })
+                    (Tenant.all sv.Server.tenants)
+                in
+                let final_tenants = tenants_but_mem server in
                 checki "every soak request answered" (requests + 1)
                   (List.length out);
                 let events =
@@ -945,7 +1014,31 @@ let par_matrix_tests =
                           = refpoint_of recovered (slot_fps recovered));
                         close_journal again
                       end;
-                      close_journal recovered
+                      close_journal recovered;
+                      (* recover-after-recover, then the rest of the
+                         workload through 4 workers again: served count
+                         and tenant table end where the uninterrupted
+                         run's did.  Committed heap growth is left out:
+                         a leak's growth depends on the history of the
+                         slot the scheduler picked. *)
+                      if n mod 97 = 0 then begin
+                        let again, report =
+                          recover_ok ~ctx ~config:par_config d
+                        in
+                        checki (ctx ^ ": second recovery, same seq") k
+                          (jint report "seq");
+                        let code, _ =
+                          run_session again
+                            (List.filteri (fun i _ -> i >= k) lines)
+                        in
+                        checki (ctx ^ ": resumed run drains clean") 0 code;
+                        checki (ctx ^ ": resumed served") requests
+                          again.Server.served;
+                        checkb (ctx ^ ": resumed tenants equal the live run")
+                          true
+                          (tenants_but_mem again = final_tenants);
+                        close_journal again
+                      end
                 done;
                 (* the final pristine journal recovers to the drained
                    live server exactly *)

@@ -279,8 +279,8 @@ let prop_arith =
       let src = Printf.sprintf "print((%d) + (%d), (%d) * (%d))" a b a b in
       let expected =
         Printf.sprintf "%s\t%s"
-          (Mlua.Value.num_to_string (float_of_int (a + b)))
-          (Mlua.Value.num_to_string (float_of_int (a * b)))
+          (Mlua.Value.num_to_string (float_of_int a +. float_of_int b))
+          (Mlua.Value.num_to_string (float_of_int a *. float_of_int b))
       in
       run src = expected)
 

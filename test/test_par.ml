@@ -268,21 +268,47 @@ let ccache_tests =
                 "terra f(n : int32) : int32 return n * 2 + %d end print(f(%d))"
                 i i
             in
+            let line fields = Json.to_string (Json.Obj fields) in
+            (* ... plus a hostile tenant whose runs trap and roll back and
+               a leaky one whose engines are recycled; with an in-flight
+               budget of 8 each tenant's requests run concurrently too.
+               Three traps stay below the breaker threshold, so every one
+               of them runs for real at any worker count. *)
+            let divzero =
+              line
+                [
+                  ( "src",
+                    Json.Str "terra d(n : int32) return 10 / n end print(d(0))"
+                  );
+                  ("retries", Json.Int 0);
+                  ("tenant", Json.Str "mallory");
+                ]
+            in
+            let leak =
+              line
+                [
+                  ( "src",
+                    Json.Str
+                      "local std = terralib.includec(\"stdlib.h\") terra \
+                       l() var p = [&int32](std.malloc(64)) p[0] = 1 return \
+                       p[0] end print(l())" );
+                  ("tenant", Json.Str "frank");
+                ]
+            in
             let reqs =
               List.concat_map
                 (fun round ->
                   List.init 6 (fun i ->
-                      (* one tenant per request: the default inflight
-                         budget must not serialize the 4-domain race *)
-                      Json.to_string
-                        (Json.Obj
-                           [
-                             ("src", Json.Str (src i));
-                             ( "tenant",
-                               Json.Str (Printf.sprintf "t%d-%d" round i) );
-                           ])))
+                      line
+                        [
+                          ("src", Json.Str (src i));
+                          ( "tenant",
+                            Json.Str (Printf.sprintf "t%d-%d" round i) );
+                        ])
+                  @ [ divzero; leak ])
                 [ 0; 1; 2 ]
             in
+            let nreqs = List.length reqs in
             let in_path = Filename.concat scratch "in.jsonl" in
             let oc = open_out in_path in
             List.iter
@@ -302,6 +328,8 @@ let ccache_tests =
                   checked = true;
                   workers;
                   cache = Some cc;
+                  default_budget =
+                    { Serve.Tenant.default_budget with max_inflight = 8 };
                 }
               in
               let s = Server.create ~config () in
@@ -315,6 +343,8 @@ let ccache_tests =
               close_in ic;
               close_out oc;
               checki "clean exit" 0 code;
+              checki "no live heap bytes left in the pool" 0
+                (Serve.Pool.live_bytes s.Server.pool);
               (List.map drop_engine (read_lines out_path), Ccache.counts cc)
             in
             let dir1 = Filename.concat scratch "cache1" in
@@ -322,27 +352,54 @@ let ccache_tests =
             let seq, c1 = run_serve ~workers:1 ~cache_dir:dir1 in
             let par, c4 = run_serve ~workers:4 ~cache_dir:dir4 in
             (* byte-identical reports, response by response *)
+            checki "every request answered, then the drain" (nreqs + 1)
+              (List.length seq);
             checki "same response count" (List.length seq) (List.length par);
             List.iteri
               (fun i (a, b) ->
                 checks (Printf.sprintf "response %d" i) a b)
               (List.combine seq par);
+            List.iter2
+              (fun req resp ->
+                let field k =
+                  match Json.of_string resp with
+                  | Ok j -> Json.member k j
+                  | Error m -> Alcotest.failf "unparseable %S: %s" resp m
+                in
+                if req = divzero then
+                  checkb "trap rolled back verified" true
+                    (field "code" = Some (Json.Str "trap.divzero")
+                    && field "exit" = Some (Json.Int 2)
+                    && field "rollback" = Some (Json.Str "verified"))
+                else if req = leak then
+                  checkb "leak reported and its engine recycled" true
+                    (field "leaked_bytes" = Some (Json.Int 64)
+                    && field "recycled" = Some (Json.Bool true))
+                else
+                  checkb "good run ok" true
+                    (field "status" = Some (Json.Str "ok")))
+              reqs
+              (List.filteri (fun i _ -> i < nreqs) par);
             (* counter tie-out: every request is exactly one lookup, and
-               every miss stored; races only shift the hit/miss split *)
-            checki "seq: one lookup per request" 18
+               every miss stored; races only shift the hit/miss split.
+               A trap reruns its request degraded to opt 0, one more
+               lookup under a key of its own. *)
+            let lookups = nreqs + 3 and programs = 9 in
+            checki "seq: one lookup per compile" lookups
               (c1.Ccache.c_hits + c1.Ccache.c_misses);
-            checki "seq: misses = distinct programs" 6 c1.Ccache.c_misses;
+            checki "seq: misses = distinct programs" programs
+              c1.Ccache.c_misses;
             checki "seq: stores = misses" c1.Ccache.c_misses
               c1.Ccache.c_stores;
-            checki "par: one lookup per request" 18
+            checki "par: one lookup per compile" lookups
               (c4.Ccache.c_hits + c4.Ccache.c_misses);
             checki "par: stores = misses" c4.Ccache.c_misses
               c4.Ccache.c_stores;
             checkb "par: every program missed at least once" true
-              (c4.Ccache.c_misses >= 6);
+              (c4.Ccache.c_misses >= programs);
             checki "seq: no bad entries" 0 c1.Ccache.c_bad_entries;
             checki "par: no bad entries" 0 c4.Ccache.c_bad_entries;
-            (* no torn entries: last-writer-wins left 6 whole files *)
+            (* no torn entries: last-writer-wins left whole files *)
             let entries dir =
               List.sort compare
                 (List.filter
@@ -375,7 +432,7 @@ let ccache_tests =
             let warm, cw = run_serve ~workers:4 ~cache_dir:dir4 in
             checkb "warm fleet reports identically" true (warm = par);
             checki "warm fleet compiles nothing" 0 cw.Ccache.c_misses;
-            checki "warm fleet hits everything" 18 cw.Ccache.c_hits));
+            checki "warm fleet hits everything" lookups cw.Ccache.c_hits));
   ]
 
 (* The serve loop's admission contract: a run waits for a free worker

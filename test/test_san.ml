@@ -274,7 +274,6 @@ let golden_tests =
         | _, Error d -> Alcotest.failf "leak.t: %s" (Diag.to_string d));
     quick "leak.t unchecked is silent" (unchecked_gives "leak.t" None);
     quick "clean program has no leak diagnostic" (fun () ->
-        let e = engine ~checked:true () in
         let src =
           {|
             local std = terralib.includec("stdlib.h")
@@ -286,9 +285,19 @@ let golden_tests =
             f()
           |}
         in
-        match Engine.run_capture_protected e src with
-        | _, Ok _ -> checkb "no leak" true (Engine.leak_diag e = None)
-        | _, Error d -> Alcotest.failf "clean: %s" (Diag.to_string d));
+        (* paper_surface.t is left out: it keeps DataTable columns and
+           Orion images alive until engine teardown *)
+        List.iter
+          (fun (name, src) ->
+            let e = engine ~checked:true () in
+            match Engine.run_capture_protected e src with
+            | _, Ok _ ->
+                checkb (name ^ ": no leak") true (Engine.leak_diag e = None)
+            | _, Error d -> Alcotest.failf "%s: %s" name (Diag.to_string d))
+          [
+            ("free", src);
+            ("mandelbrot.t", Harness.read_file (Harness.example "mandelbrot.t"));
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -409,7 +418,7 @@ let isolation_tests =
         | _, Error d -> Alcotest.failf "unsanitized: %s" (Diag.to_string d));
     quick "checked execution retires the same instructions" (fun () ->
         (* the overhead story: TerraSan is host-side, so fuel use is
-           identical; CI's 3x budget bound rests on this *)
+           identical *)
         let src =
           {|
             local std = terralib.includec("stdlib.h")
@@ -424,13 +433,22 @@ let isolation_tests =
             print(work())
           |}
         in
-        let run checked =
+        let run src checked =
           let e = engine ~checked () in
           match Engine.run_capture_protected e src with
-          | _, Ok _ -> Engine.fuel_used e
+          | out, Ok _ -> (out, Engine.fuel_used e)
           | _, Error d -> Alcotest.failf "overhead: %s" (Diag.to_string d)
         in
-        checki "same fuel" (run false) (run true));
+        List.iter
+          (fun (name, src) ->
+            let out, fuel = run src false in
+            let out', fuel' = run src true in
+            checks (name ^ ": same output") out out';
+            checki (name ^ ": same fuel") fuel fuel')
+          (("work", src)
+          :: List.map
+               (fun name -> (name, Harness.read_file (Harness.example name)))
+               [ "mandelbrot.t"; "paper_surface.t" ]));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -51,7 +51,7 @@ let jlist j k =
   | _ -> Alcotest.failf "field %S is not a list" k
 
 let mk_server ?(pool = 2) ?(recycle = 64) ?(checked = true) ?(verify = true)
-    ?(budget = Tenant.default_budget) () =
+    ?(budget = Tenant.default_budget) ?mem_bytes () =
   let config =
     {
       Server.default_config with
@@ -60,6 +60,7 @@ let mk_server ?(pool = 2) ?(recycle = 64) ?(checked = true) ?(verify = true)
       checked;
       verify_rollback = verify;
       default_budget = budget;
+      mem_bytes;
     }
   in
   Server.create ~config ()
@@ -599,11 +600,26 @@ let breaker_tests =
 (* ------------------------------------------------------------------ *)
 (* The soak: >= 1000 mixed requests through one server *)
 
+(* Every slot's fingerprint, kept up to date page by page, must equal a
+   re-hash of the whole session state from scratch. *)
+let audit_fingerprints (s : Server.t) =
+  Array.iter
+    (fun (slot : Pool.slot) ->
+      let vm = slot.Pool.eng.Engine.ctx.Context.vm in
+      let cached = Tvm.Vm.fingerprint vm in
+      checks
+        (Printf.sprintf "slot %d fingerprint = from scratch" slot.Pool.id)
+        (Tvm.Vm.fingerprint ~from_scratch:true vm)
+        cached)
+    s.Server.pool.Pool.slots
+
 let soak_tests =
   [
     quick "1050 mixed requests: stable, leak-free, fault-isolated"
       (fun () ->
-        let s = mk_server ~pool:2 ~recycle:40 () in
+        (* a from-scratch fingerprint hashes the whole arena and shadow
+           map, so the audited engines get a 10 MiB arena *)
+        let s = mk_server ~pool:2 ~recycle:40 ~mem_bytes:(10 lsl 20) () in
         let san =
           [|
             "programs/heap_overflow.t";
@@ -624,6 +640,7 @@ let soak_tests =
         and leaks = ref 0 in
         let stable = ref true in
         for i = 0 to n - 1 do
+          if i mod 50 = 0 then audit_fingerprints s;
           if i mod 97 = 13 then begin
             (* a leaky tenant: reported once, engine recycled, exit
                parity with checked one-shot terra_run (leak => 2) *)
@@ -692,6 +709,7 @@ let soak_tests =
                 checki "good leaves nothing" 0 (jint r "leaked_bytes");
                 if jstr r "output" <> "42\n" then stable := false
         done;
+        audit_fingerprints s;
         checkb "soak size" true (n >= 1000);
         checkb "every class exercised" true
           (!goods > 100

@@ -330,12 +330,17 @@ let run_at ?(checked = false) ~opt_level src name =
   in
   (out, tag, Terra.Engine.fuel_used e)
 
+(* Optimizer off, level 1 and fully on must print the same bytes and
+   end with the same result. *)
 let check_differential ?checked path () =
   let src = read_file path in
   let o0, t0, _ = run_at ?checked ~opt_level:0 src path in
-  let o2, t2, _ = run_at ?checked ~opt_level:2 src path in
-  checks (path ^ " stdout") o0 o2;
-  checks (path ^ " result") t0 t2
+  List.iter
+    (fun level ->
+      let o, t, _ = run_at ?checked ~opt_level:level src path in
+      checks (Printf.sprintf "%s stdout at opt%d" path level) o0 o;
+      checks (Printf.sprintf "%s result at opt%d" path level) t0 t)
+    [ 1; 2 ]
 
 let golden_cases () =
   List.concat_map

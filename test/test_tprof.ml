@@ -300,13 +300,35 @@ print(churn())
 
 let engine_tests =
   [
-    quick "profile total equals the fuel accounting (mandelbrot)" (fun () ->
-        Harness.with_engine ~profile:true
-          (fun e ->
-            let _ = Harness.run_ok e (mandel_src ()) in
-            let r = Engine.profile e in
-            checki "total == fuel_used" (Engine.fuel_used e) r.Report.total;
-            checkb "something ran" true (r.Report.total > 0)));
+    quick "profile total equals the fuel accounting (examples)" (fun () ->
+        List.iter
+          (fun name ->
+            Harness.with_engine ~profile:true (fun e ->
+                let _ =
+                  Harness.run_ok e
+                    (Harness.read_file (Harness.example name))
+                in
+                let r = Engine.profile e in
+                checki (name ^ ": total == fuel_used") (Engine.fuel_used e)
+                  r.Report.total;
+                checkb (name ^ ": something ran") true (r.Report.total > 0);
+                checkb (name ^ ": functions attributed") true
+                  (r.Report.funcs <> []);
+                List.iter
+                  (fun f ->
+                    checkb
+                      (Printf.sprintf "%s: %s has 0 <= self <= total <= all"
+                         name f.Report.f_name)
+                      true
+                      (0 <= f.Report.f_self
+                      && f.Report.f_self <= f.Report.f_total
+                      && f.Report.f_total <= r.Report.total))
+                  r.Report.funcs;
+                checkb (name ^ ": self times sum within the total") true
+                  (List.fold_left (fun acc f -> acc + f.Report.f_self) 0
+                     r.Report.funcs
+                  <= r.Report.total)))
+          [ "mandelbrot.t"; "paper_surface.t" ]);
     quick "profiles are byte-identical across runs" (fun () ->
         let run () =
           Harness.with_engine ~profile:true
